@@ -2,8 +2,10 @@
 
 Not a paper figure.  The temporal store rides the engine's window
 lifecycle (``docs/TEMPORAL.md``); its ingest-path footprint is one
-Count-Min insert per arrival plus one node seal per boundary.  This
-bench prices that against a store-less run of the same stream, then
+Count-Min ``insert(key, count)`` per distinct key of each ingest call
+(the call is collapsed to (key, count) pairs first, even under the
+per-arrival engine this bench runs) plus one node seal per boundary.
+This bench prices that against a store-less run of the same stream, then
 measures range-query latency as the queried width grows — the dyadic
 cover keeps the composed node count O(log W), so latency should grow
 far slower than width.

@@ -25,7 +25,8 @@ higher because the hot loop is a dict increment.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from collections import Counter
+from typing import Dict, List, Mapping
 
 from repro.config import XSketchConfig
 from repro.core.reports import SimplexReport
@@ -72,14 +73,24 @@ class BatchedXSketch:
 
     def insert(self, item: ItemId) -> None:
         """Buffer one arrival (all per-item work happens at end_window)."""
-        buffer = self._buffer
-        buffer[item] = buffer.get(item, 0) + 1
+        self.ingest_counts({item: 1})
 
     def ingest_batch(self, items) -> None:
-        """Buffer a batch of arrivals (the runtime/service hot path)."""
+        """Buffer a batch of arrivals, collapsed to (key, count) pairs."""
+        self.ingest_counts(Counter(items))
+
+    def ingest_counts(self, counts: Mapping[ItemId, int]) -> None:
+        """Buffer (key, count) pairs (the runtime/service hot path).
+
+        Keys enter the buffer in the mapping's order, so feeding a
+        stream's first-arrival-ordered counts in any chunking leaves the
+        buffer -- and the end-of-window walk over it -- exactly as
+        feeding its arrivals one at a time.
+        """
         buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        get = buffer.get
+        for item, count in counts.items():
+            buffer[item] = get(item, 0) + count
 
     def end_window(self) -> List[SimplexReport]:
         """Flush the window buffer, then run the Stage-2 transition."""
@@ -105,9 +116,7 @@ class BatchedXSketch:
 
     def run_window(self, items) -> List[SimplexReport]:
         """Convenience: buffer a whole window of arrivals, then close it."""
-        buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        self.ingest_batch(items)
         return self.end_window()
 
     @property

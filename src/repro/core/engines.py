@@ -9,8 +9,9 @@ speak the same stream protocol (``insert`` / ``ingest_batch`` /
 ``end_window`` / ``run_window`` / ``reports`` / ``stats`` / ``merge``
 / snapshot support), so workers, the service ``WindowManager``, the
 supervision respawn path and ``merged_sketch()`` compaction work with
-any of them.  See docs/RUNTIME.md ("Engine selection") for the
-semantics matrix.
+any of them.  The two buffered engines also take ``(key, count)``
+pairs through ``ingest_counts``.  See docs/RUNTIME.md ("Engine
+selection") for the semantics matrix.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ order-independent bulk approximation (see
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from collections import Counter
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -98,14 +99,24 @@ class VectorizedXSketch:
 
     def insert(self, item: ItemId) -> None:
         """Buffer one arrival."""
-        buffer = self._buffer
-        buffer[item] = buffer.get(item, 0) + 1
+        self.ingest_counts({item: 1})
 
     def ingest_batch(self, items) -> None:
-        """Buffer a batch of arrivals (the runtime/service hot path)."""
+        """Buffer a batch of arrivals, collapsed to (key, count) pairs."""
+        self.ingest_counts(Counter(items))
+
+    def ingest_counts(self, counts: Mapping[ItemId, int]) -> None:
+        """Buffer (key, count) pairs (the runtime/service hot path).
+
+        Same contract as :meth:`BatchedXSketch.ingest_counts
+        <repro.core.batched.BatchedXSketch.ingest_counts>`: keys keep
+        their first-arrival order in the buffer, which fixes the order
+        :meth:`end_window` walks it in.
+        """
         buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        get = buffer.get
+        for item, count in counts.items():
+            buffer[item] = get(item, 0) + count
 
     def end_window(self) -> List[SimplexReport]:
         """Flush the buffer through the batched Stage-1/Stage-2 pipeline."""
@@ -166,9 +177,7 @@ class VectorizedXSketch:
 
     def run_window(self, items) -> List[SimplexReport]:
         """Convenience: buffer a whole window of arrivals, then close it."""
-        buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        self.ingest_batch(items)
         return self.end_window()
 
     @property

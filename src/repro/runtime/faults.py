@@ -14,9 +14,10 @@ Fault kinds (``Fault.kind``):
     The worker calls ``os._exit(137)`` — indistinguishable from an OOM
     kill or ``kill -9``.  ``point`` selects the instant:
 
-    - ``"ingest"``: on receiving the first ingest command while the
-      shard sketch sits at ``window`` (a mid-window crash; the consumed
-      batch is lost).
+    - ``"ingest"``: on receiving the first ingest command (an item
+      batch or a count batch, see :data:`INGEST_OPS`) while the shard
+      sketch sits at ``window`` (a mid-window crash; the consumed batch
+      is lost).
     - ``"end_window"``: on receiving the window-close command at
       ``window``, before closing (the whole window's worth of shard
       state since the last checkpoint is lost).
@@ -67,6 +68,11 @@ KILL_POINTS = ("ingest", "end_window", "checkpoint")
 
 #: Worker commands a drop_reply / slow / error fault can target.
 FAULT_OPS = ("ingest", "end_window", "stats", "metrics", "trace", "checkpoint", "stop")
+
+#: Worker commands that carry arrivals: ordered item batches for the
+#: per-arrival engine, (key, count) batches for the buffered engines.
+#: A fault addressed to ``"ingest"`` fires on either.
+INGEST_OPS = ("ingest", "ingest_counts")
 
 #: Exit status of an injected kill (mirrors SIGKILL's 128+9).
 KILL_EXIT_CODE = 137
@@ -169,6 +175,8 @@ class _Armed:
         fault = self.fault
         if self.remaining <= 0:
             return False
+        if op in INGEST_OPS:
+            op = "ingest"
         if fault.window is not None and fault.window != window:
             return False
         if fault.kind == "kill":

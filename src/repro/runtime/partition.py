@@ -19,7 +19,7 @@ assignment stable across worker processes and across restarts
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Mapping
 
 from repro.errors import ConfigurationError
 from repro.hashing.family import ItemId, make_family
@@ -59,6 +59,19 @@ class KeyPartitioner:
         hash32 = self._family.hash32
         for item in items:
             parts[hash32(item, 0) % n].append(item)
+        return parts
+
+    def split_counts(self, counts: Mapping[ItemId, int]) -> List[Dict[ItemId, int]]:
+        """Partition (key, count) pairs into per-shard mappings.
+
+        One hash per distinct key; each shard's mapping keeps the input
+        order, so first-arrival order survives routing.
+        """
+        parts: List[Dict[ItemId, int]] = [{} for _ in range(self.n_shards)]
+        n = self.n_shards
+        hash32 = self._family.hash32
+        for item, count in counts.items():
+            parts[hash32(item, 0) % n][item] = count
         return parts
 
     def spec(self) -> Dict:

@@ -6,6 +6,10 @@ sub-batches out to worker processes (``backend="process"``, the
 default) or to in-process sketches (``backend="inline"``, used for
 deterministic tests and as a zero-dependency fallback).  Both backends
 run byte-identical sketch code, so they produce identical reports.
+With the buffered engines a batch is first collapsed into (key, count)
+pairs, so routing and the temporal store pay per distinct key, and a
+shard's sub-batch is a count mapping; the per-arrival engine gets its
+arrivals in order.
 
 Sharding model
     Each shard owns a full :class:`XSketchConfig` worth of memory and a
@@ -15,7 +19,8 @@ Sharding model
     :func:`repro.core.xsketch.report_order`.
 
 Protocol
-    ``ingest_batch(items)`` routes a batch into the current window;
+    ``ingest_batch(items)`` routes a batch into the current window
+    (``insert(item)`` buffers arrivals and routes them in batches);
     ``flush_window()`` closes the window on every shard and returns the
     merged reports (aliased as ``end_window`` / ``run_window`` so the
     coordinator quacks like every other engine); ``report()`` returns
@@ -48,6 +53,7 @@ import multiprocessing
 import pickle
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from queue import Empty
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,12 +68,12 @@ from repro.hashing.family import ItemId
 from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import new_span_id
-from repro.runtime.faults import Fault
+from repro.runtime.faults import INGEST_OPS, Fault
 from repro.runtime.partition import KeyPartitioner
 from repro.runtime.worker import WorkerReport, shard_worker_main
 
-#: insert()-path buffering: a shard's buffer is flushed to its queue
-#: once it holds this many items (ingest_batch sends immediately).
+#: insert()-path buffering: buffered arrivals are routed as one batch
+#: once this many have accumulated (ingest_batch routes immediately).
 DEFAULT_BATCH_SIZE = 2048
 
 #: Seconds the coordinator waits for a worker reply before declaring
@@ -93,6 +99,12 @@ _RESEND_COMMANDS = {
     "checkpoint": ("checkpoint",),
     "stopped": ("stop",),
 }
+
+
+def _arrivals(part) -> int:
+    """Arrivals in one shard batch: a list of arrivals, or a
+    ``{key: count}`` count batch."""
+    return sum(part.values()) if isinstance(part, dict) else len(part)
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,7 @@ class ShardedXSketch:
             ``"inline"`` (in-process shards; deterministic, no IPC).
         mp_context: multiprocessing start method for the process
             backend (``"spawn"`` by default — safe everywhere).
-        batch_size: insert()-path buffer size per shard.
+        batch_size: insert()-path buffer size (arrivals across all shards).
         reply_timeout: seconds to wait for worker replies before a
             non-replying but alive worker counts as wedged.
         snapshots: per-shard snapshot dicts to restore from (used by
@@ -241,6 +253,9 @@ class ShardedXSketch:
         self.auto_checkpoint_interval = auto_checkpoint_interval
         self.max_restarts = max_restarts
         self.faults = list(faults) if faults else []
+        #: per-arrival shards take their arrivals in order; buffered
+        #: shards take one (key, count) mapping per batch
+        self._ordered = engine == "xsketch"
         self.partitioner = KeyPartitioner(
             n_shards, seed=seed, hash_family=config.hash_family
         )
@@ -261,7 +276,8 @@ class ShardedXSketch:
         #: and counted by the obs collector instead of silently dropped
         self.close_errors: List[str] = []
         self._recovering = False
-        self._buffers: List[List[ItemId]] = [[] for _ in range(n_shards)]
+        #: insert()-path arrivals not yet routed
+        self._pending: List[ItemId] = []
         self._memory_bytes: Optional[float] = None
         self.observability = observability
         self.temporal = temporal
@@ -482,12 +498,12 @@ class ShardedXSketch:
             command_queue.put(("advance", self.window))
             advance = self._collect_from(shard, "advance")
             self.reports_discarded += advance["reports_discarded"]
-            salvaged_items = sum(len(batch) for batch in salvaged)
+            salvaged_items = sum(_arrivals(command[1]) for command in salvaged)
             lost = max(0, self._items_since_snapshot[shard] - salvaged_items)
             self.items_lost_estimate += lost
             self._items_since_snapshot[shard] = salvaged_items
-            for batch in salvaged:
-                command_queue.put(("ingest", batch))
+            for command in salvaged:
+                command_queue.put(command)
             if resend_kind in _RESEND_COMMANDS:
                 command_queue.put(_RESEND_COMMANDS[resend_kind])
                 self.command_retries += 1
@@ -502,12 +518,13 @@ class ShardedXSketch:
         finally:
             self._recovering = False
 
-    def _drain_salvageable(self, shard: int) -> List[List[ItemId]]:
-        """Ingest batches still queued for a dead worker (best effort).
+    def _drain_salvageable(self, shard: int) -> List[Tuple]:
+        """Ingest commands still queued for a dead worker (best effort).
 
         The dead incarnation never consumed these, so the replacement
-        can legitimately replay them.  Control commands are dropped (the
-        collect loop resends the one in flight).
+        can legitimately replay them, each as the command it was (a
+        count batch stays a count batch).  Control commands are dropped
+        (the collect loop resends the one in flight).
 
         The cooperative ``get()`` path cannot be used here: a worker
         SIGKILLed while blocked in ``get()`` dies *holding the queue's
@@ -522,7 +539,7 @@ class ShardedXSketch:
         leave a truncated message, and anything unreadable past it is
         simply counted as lost.
         """
-        salvaged: List[List[ItemId]] = []
+        salvaged: List[Tuple] = []
         reader = getattr(self._command_queues[shard], "_reader", None)
         if reader is None:  # pragma: no cover - defensive
             return salvaged
@@ -533,8 +550,8 @@ class ShardedXSketch:
                 command = pickle.loads(reader.recv_bytes())
             except Exception:  # pragma: anything unreadable past a truncated message is counted as lost
                 break
-            if command[0] == "ingest":
-                salvaged.append(command[1])
+            if command[0] in INGEST_OPS:
+                salvaged.append(command)
         return salvaged
 
     @staticmethod
@@ -586,40 +603,59 @@ class ShardedXSketch:
 
     def insert(self, item: ItemId) -> None:
         """Route one arrival (buffered; flushed by size or at flush_window)."""
-        shard = self.partitioner.shard_of(item)
-        buffer = self._buffers[shard]
-        buffer.append(item)
-        if len(buffer) >= self.batch_size:
-            self._dispatch(shard, buffer)
-            self._buffers[shard] = []
+        self._pending.append(item)
+        if len(self._pending) >= self.batch_size:
+            self._flush_pending()
 
     def ingest_batch(self, items: Sequence[ItemId]) -> None:
-        """Route a batch of arrivals into the current window."""
-        for shard, part in enumerate(self.partitioner.split(items)):
+        """Route a batch of arrivals into the current window.
+
+        The per-arrival engine gets its shard's arrivals in order (its
+        Potential gate depends on arrival order).  Otherwise the batch
+        is collapsed once into (key, count) pairs in first-arrival
+        order: only the distinct keys are routed and fed to the temporal
+        store, and each buffered shard gets its keys' counts.
+        """
+        if self._closed:
+            raise RuntimeShardError("ShardedXSketch is closed")
+        if self._ordered:
+            if self.temporal is not None:
+                self.temporal.observe_items(items)
+            parts = self.partitioner.split(items)
+        else:
+            counts = Counter(items)
+            if self.temporal is not None:
+                self.temporal.observe_counts(counts)
+            parts = self.partitioner.split_counts(counts)
+        for shard, part in enumerate(parts):
             if part:
                 self._dispatch(shard, part)
 
-    def _dispatch(self, shard: int, items: List[ItemId]) -> None:
-        if self._closed:
-            raise RuntimeShardError("ShardedXSketch is closed")
-        self.items_routed[shard] += len(items)
+    def _dispatch(self, shard: int, part) -> None:
+        """Hand one shard its arrivals (a list) or counts (a dict)."""
+        arrivals = _arrivals(part)
+        self.items_routed[shard] += arrivals
         self.batches_sent[shard] += 1
         self._merged_cache = None
-        if self.temporal is not None:
-            self.temporal.observe_items(items)
         if self.backend == "inline":
+            sketch = self._locals[shard]
             start = time.perf_counter()
-            self._locals[shard].ingest_batch(items)
+            if self._ordered:
+                sketch.ingest_batch(part)
+            else:
+                sketch.ingest_counts(part)
             self._inline_busy[shard] += time.perf_counter() - start
+            return
+        self._items_since_snapshot[shard] += arrivals
+        if self._ordered:
+            self._command_queues[shard].put(("ingest", part))
         else:
-            self._items_since_snapshot[shard] += len(items)
-            self._command_queues[shard].put(("ingest", items))
+            self._command_queues[shard].put(("ingest_counts", part))
 
-    def _flush_buffers(self) -> None:
-        for shard, buffer in enumerate(self._buffers):
-            if buffer:
-                self._dispatch(shard, buffer)
-                self._buffers[shard] = []
+    def _flush_pending(self) -> None:
+        pending, self._pending = self._pending, []
+        if pending:
+            self.ingest_batch(pending)
 
     def flush_window(self, span_ctx=None) -> List[SimplexReport]:
         """Close the current window on every shard; merged reports back.
@@ -632,7 +668,7 @@ class ShardedXSketch:
         the whole fan-out lands in one tree.  Without either, the close
         runs exactly as before (the NULL_TRACER gate).
         """
-        self._flush_buffers()
+        self._flush_pending()
         tracer = self.tracer
         if tracer is None or not tracer.enabled or span_ctx is None:
             tracer = None
@@ -889,7 +925,7 @@ class ShardedXSketch:
 
     def _collect_snapshots(self) -> List[Dict]:
         """Per-shard snapshots at the current window boundary."""
-        if any(self._buffers[shard] for shard in range(self.n_shards)):
+        if self._pending:
             raise RuntimeShardError(
                 "snapshot only at a window boundary (insert buffers not empty); "
                 "call flush_window() first"
@@ -935,7 +971,7 @@ class ShardedXSketch:
         auto-checkpoint already holds fresh per-shard snapshots at this
         boundary they are reused instead of a second snapshot round-trip.
         """
-        if any(self._buffers):
+        if self._pending:
             raise RuntimeShardError(
                 "snapshot only at a window boundary (insert buffers not empty); "
                 "call flush_window() first"

@@ -19,7 +19,11 @@ Command protocol (tuples on ``command_queue``; replies on the worker's
 ``result_queue`` are ``(kind, shard_id, payload)``):
 
 ``("ingest", items)``
-    Insert a batch into the current window.  No reply (pipelined).
+    Insert a batch of arrivals, in order, into the current window (the
+    per-arrival engine).  No reply (pipelined).
+``("ingest_counts", counts)``
+    Add a ``{key: count}`` mapping, in its key order, to the current
+    window (the buffered engines' ``ingest_counts``).  No reply.
 ``("end_window",)`` / ``("end_window", span_ctx)``
     Close the window; replies ``("end_window", shard, reports)``.  With
     a span context dict (the coordinator's wire
@@ -168,6 +172,13 @@ def shard_worker_main(
                 sketch.ingest_batch(items)
                 busy_seconds += perf_counter() - start
                 items_ingested += len(items)
+                batches += 1
+            elif op == "ingest_counts":
+                counts = command[1]
+                start = perf_counter()
+                sketch.ingest_counts(counts)
+                busy_seconds += perf_counter() - start
+                items_ingested += sum(counts.values())
                 batches += 1
             elif op == "end_window":
                 span_ctx = command[1] if len(command) > 1 else None

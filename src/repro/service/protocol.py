@@ -48,6 +48,11 @@ _LENGTH = struct.Struct(">I")
 #: Parsed ingest message: ("batch", items, seq) | ("flush",) | ("shutdown",)
 Message = Tuple
 
+#: Integer item IDs hash as signed 64-bit values
+#: (:func:`repro.hashing.family.encode_item`).
+INT_ITEM_MIN = -(1 << 63)
+INT_ITEM_MAX = (1 << 63) - 1
+
 
 def encode_payload(message: Union[dict, list]) -> bytes:
     """Compact UTF-8 JSON encoding shared by both wire modes."""
@@ -88,20 +93,28 @@ def parse_message(obj) -> Message:
             raise ServiceError(f"unknown op {op!r}")
         if "items" in obj:
             seq = obj.get("seq")
-            if seq is not None and (not isinstance(seq, int) or seq < 0):
+            if seq is not None and (
+                not isinstance(seq, int) or isinstance(seq, bool) or seq < 0
+            ):
                 raise ServiceError(f"seq must be a non-negative integer, got {seq!r}")
             return ("batch", _validated_items(obj["items"]), seq)
     raise ServiceError(f"unrecognized message shape: {type(obj).__name__}")
 
 
 def _validated_items(items) -> List[ItemId]:
+    """Check every item, not just distinct ones: downstream collapsing
+    would fold ``1.0`` and ``True`` into the key ``1``."""
     if not isinstance(items, list):
         raise ServiceError(f"items must be a list, got {type(items).__name__}")
     for item in items:
-        if not isinstance(item, (str, int)):
+        if isinstance(item, str):
+            continue
+        if not isinstance(item, int) or isinstance(item, bool):
             raise ServiceError(
                 f"item IDs must be strings or integers, got {type(item).__name__}"
             )
+        if not INT_ITEM_MIN <= item <= INT_ITEM_MAX:
+            raise ServiceError(f"integer item IDs must fit in 64 bits, got {item}")
     return items
 
 

@@ -2,9 +2,10 @@
 
 The store subscribes to the engine's window lifecycle:
 
-``observe_items(items)``
-    called from the ingest path (once per arrival batch); feeds the
-    currently-open window's frequency sketch.
+``observe_counts(counts)``
+    called from the ingest path (once per arrival batch, collapsed to
+    ``(key, count)`` pairs); feeds the currently-open window's frequency
+    sketch.  ``observe_items(items)`` collapses a raw batch first.
 ``on_window(window, reports, snapshot_fn=None)``
     called at each window boundary with that window's freshly merged
     simplex reports.  Seals the open frequency sketch into a level-0
@@ -24,7 +25,8 @@ service's event loop while the engine thread keeps ingesting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compat import FrozenSlots
 from repro.core.reports import SimplexReport
@@ -118,16 +120,26 @@ class TemporalStore:
     # ingest side (engine thread)
 
     def observe_items(self, items: Sequence) -> None:
-        """Feed the open window's frequency sketch (ingest hot path)."""
+        """Feed a batch of arrivals, collapsed to (key, count) pairs."""
+        self.observe_counts(Counter(items))
+
+    def observe_counts(self, counts: Mapping) -> None:
+        """Feed the open window's frequency sketch (ingest hot path).
+
+        One Count-Min ``insert(key, count)`` per distinct key: CM
+        addition commutes and saturates per counter, so the sealed
+        node is the one the same arrivals fed one at a time would give.
+        """
         if self._open_freq is None:
             self._open_freq = make_freq_sketch(
                 self.policy, self.seed, self.hash_family
             )
-        freq = self._open_freq
-        for item in items:
-            freq.insert(item)
-        self._open_items += len(items)
-        self.items_observed += len(items)
+        insert = self._open_freq.insert
+        for item, count in counts.items():
+            insert(item, count)
+        arrivals = sum(counts.values())
+        self._open_items += arrivals
+        self.items_observed += arrivals
 
     def on_window(
         self,

@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import XSketchConfig
 from repro.core.engines import ENGINE_NAMES, make_engine, validate_engine
+from repro.core.serialize import snapshot_xsketch
 from repro.errors import ConfigurationError
 from repro.fitting.simplex import SimplexTask
 from repro.runtime.faults import Fault
@@ -198,3 +199,54 @@ class TestSupervisedRespawnKeepsEngine:
         assert keys == inline_keys_by_engine["vectorized"]
         assert health["restarts_total"] == 1
         assert health["items_lost_estimate"] == 0
+
+    def test_mid_window_kill_replays_count_batches_vectorized(self, planted_windows):
+        """SIGKILL a vectorized shard on its first count batch of a
+        window.  The batch it consumed is lost, and the loss estimate
+        counts that batch's arrivals, not its keys.  The count batches
+        still queued are replayed as count batches, so the run equals
+        an inline run that never saw the lost shard-0 arrivals."""
+        kill_window, n_chunks = 5, 4
+        fault = Fault(kind="kill", shard=0, window=kill_window, point="ingest")
+
+        def chunks(window):
+            size = -(-len(window) // n_chunks)
+            return [window[start:start + size] for start in range(0, len(window), size)]
+
+        def feed(sharded, drop_lost=False):
+            """Run the trace; returns the merged state after the kill window."""
+            shard_of = sharded.partitioner.shard_of
+            for index, window in enumerate(planted_windows):
+                for position, chunk in enumerate(chunks(window)):
+                    if drop_lost and (index, position) == (kill_window, 0):
+                        chunk = [item for item in chunk if shard_of(item) != 0]
+                    sharded.ingest_batch(chunk)
+                sharded.flush_window()
+                if index == kill_window:
+                    state = snapshot_xsketch(sharded.merged_sketch())
+            return state
+
+        with ShardedXSketch(
+            _config(), n_shards=2, seed=SEED, backend="inline", engine="vectorized"
+        ) as reference:
+            expected_state = feed(reference, drop_lost=True)
+            shard_of = reference.partitioner.shard_of
+            first = chunks(planted_windows[kill_window])[0]
+            lost = [item for item in first if shard_of(item) == 0]
+            expected = reference.report()
+        with ShardedXSketch(
+            _config(), n_shards=2, seed=SEED, backend="process",
+            reply_timeout=60.0, faults=[fault], engine="vectorized",
+        ) as sharded:
+            with pytest.warns(RuntimeWarning, match="restarted shard 0"):
+                state = feed(sharded)
+            health = sharded.health()
+            reports = sharded.report()
+            routed = sum(sharded.items_routed)
+        assert health["restarts_total"] == 1
+        assert len(set(lost)) < len(lost)  # the lost batch repeats keys
+        assert health["items_lost_estimate"] == len(lost)
+        assert routed == sum(len(window) for window in planted_windows)
+        assert state == expected_state
+        assert reports == expected
+        assert reports  # the trace produced reports

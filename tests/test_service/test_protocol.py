@@ -123,11 +123,21 @@ class TestMessages:
             {"items": ["a"], "seq": "x"},
             "just a string",
             42,
+            [2**70, "a"],
+            {"items": ["a", -(2**63) - 1]},
+            [True],
+            {"items": ["a", False]},
+            [1, 1.0],
+            {"items": ["a"], "seq": True},
         ],
     )
     def test_malformed_messages_rejected(self, bad):
         with pytest.raises(ServiceError):
             parse_message(bad)
+
+    def test_signed_64_bit_bounds_accepted(self):
+        items = [-(2**63), 2**63 - 1, "x"]
+        assert parse_message(items) == ("batch", items, None)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ServiceError, match="malformed JSON"):

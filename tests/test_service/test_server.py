@@ -420,6 +420,37 @@ class TestLifecycle:
         assert ack["received"] == 1, "messages before the bad one still count"
         assert engine.items == ["ok"]
 
+    def test_out_of_range_item_is_rejected_and_service_continues(self):
+        """An integer ID that cannot hash as 64 bits is refused at the
+        protocol layer: the ack names the error, the batch never reaches
+        the window, and the next connection is served normally."""
+
+        async def send(port, message):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(MAGIC + encode_frame(message))
+            writer.write_eof()
+            ack = decode_payload(await read_frame(reader, 1 << 20))
+            writer.close()
+            return ack
+
+        async def scenario():
+            service = service_over_shards(window_size=4)
+            await service.start()
+            _, port = service.ingest_address
+            bad = await send(port, [2**70, "a"])
+            items_after_bad = service.manager.items_total
+            good = await send(port, ["a", "b", "a", 7])
+            await service.stop()
+            return service, bad, items_after_bad, good
+
+        service, bad, items_after_bad, good = asyncio.run(scenario())
+        assert "64 bits" in bad["error"]
+        assert bad["received"] == 0
+        assert items_after_bad == 0
+        assert good == {"received": 4, "dropped": 0}
+        assert service.failure is None
+        assert service.manager.windows_closed == 1
+
 
 class TestHttpApi:
     def test_endpoints(self, trace):
