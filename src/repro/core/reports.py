@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.compat import FrozenSlots
 from repro.hashing.family import ItemId
@@ -47,3 +47,32 @@ class SimplexReport(FrozenSlots):
     def instance(self) -> Tuple[ItemId, int]:
         """The (item, start_window) pair used for truth matching."""
         return (self.item, self.start_window)
+
+
+def report_to_dict(report: SimplexReport) -> Dict:
+    """JSON-safe record of one report.
+
+    The one report codec: snapshots, checkpoints, ladder nodes, cold-tier
+    files, replica frames and the HTTP API all write this record, in this
+    key order, so their bytes agree wherever the same report appears.
+    """
+    return {
+        "item": report.item,
+        "start_window": report.start_window,
+        "report_window": report.report_window,
+        "lasting_time": report.lasting_time,
+        "coefficients": list(report.coefficients),
+        "mse": report.mse,
+    }
+
+
+def report_from_dict(record: Dict) -> SimplexReport:
+    """Inverse of :func:`report_to_dict`."""
+    return SimplexReport(
+        item=record["item"],
+        start_window=record["start_window"],
+        report_window=record["report_window"],
+        lasting_time=record["lasting_time"],
+        coefficients=tuple(record["coefficients"]),
+        mse=record["mse"],
+    )

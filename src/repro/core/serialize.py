@@ -25,7 +25,7 @@ from typing import Dict, List, Union
 
 from repro.config import XSketchConfig
 from repro.core.batched import BatchedXSketch
-from repro.core.reports import SimplexReport
+from repro.core.reports import report_from_dict, report_to_dict
 from repro.core.stage2 import Stage2Cell
 from repro.core.vectorized import VectorizedXSketch
 from repro.core.xsketch import XSketch
@@ -60,8 +60,9 @@ def _counter_arrays_of(filter_) -> List[CounterArray]:
 def _stage1_arrays(sketch) -> List[List[int]]:
     """Flat per-level Stage-1 counter lists, engine-independent."""
     if isinstance(sketch, VectorizedXSketch):
-        # C-order flatten of (n_logical, s) == CounterArray's pos*s+slot
-        return [[int(v) for v in level.reshape(-1)] for level in sketch.tower.levels]
+        # C-order flatten of (n_logical, s) == CounterArray's pos*s+slot;
+        # tolist() yields Python ints at C speed
+        return [level.ravel().tolist() for level in sketch.tower.levels]
     return [list(array) for array in _counter_arrays_of(sketch.stage1.filter)]
 
 
@@ -119,7 +120,7 @@ def snapshot_xsketch(sketch, shard: Dict = None) -> Dict:
                     "counts": list(cell.counts),
                 }
             )
-    reports = [dataclasses.asdict(report) for report in sketch.reports]
+    reports = [report_to_dict(report) for report in sketch.reports]
     snapshot = {
         "format_version": FORMAT_VERSION,
         "variant": _VARIANTS.get(type(sketch), "per-arrival"),
@@ -175,7 +176,7 @@ def restore_xsketch(snapshot: Dict, seed: int = 0, recorder=None) -> XSketch:
         sketch.stage2.buckets[record["bucket"]].append(cell)
         sketch.stage2._index[record["item"]] = cell
 
-    sketch._reports = [SimplexReport(**_report_kwargs(r)) for r in snapshot["reports"]]
+    sketch._reports = [report_from_dict(r) for r in snapshot["reports"]]
     return sketch
 
 
@@ -187,12 +188,6 @@ def save_xsketch(sketch: XSketch, path: Union[str, Path]) -> None:
 def load_xsketch(path: Union[str, Path], seed: int = 0) -> XSketch:
     """Read a snapshot written by :func:`save_xsketch`."""
     return restore_xsketch(json.loads(Path(path).read_text()), seed=seed)
-
-
-def _report_kwargs(record: Dict) -> Dict:
-    record = dict(record)
-    record["coefficients"] = tuple(record["coefficients"])
-    return record
 
 
 def _encode_state(state) -> List:

@@ -186,7 +186,7 @@ def collect_sharded(sharded, registry: Optional[MetricsRegistry] = None) -> Metr
     ).inc(getattr(sharded, "merged_cache_hits", 0))
     registry.counter(
         "runtime_merged_cache_misses_total",
-        "merged_sketch() calls that re-merged per-shard snapshots",
+        "merged_sketch() calls that rebuilt the compaction from the shards",
     ).inc(getattr(sharded, "merged_cache_misses", 0))
     # The coordinator's phase-profiler histograms deliberately stay out
     # of this collector: the canonical registry is a cross-backend

@@ -26,6 +26,7 @@ import contextlib
 from collections import deque
 from typing import Optional, Sequence, Tuple
 
+from repro.core.reports import report_to_dict
 from repro.service.protocol import (
     MAGIC,
     decode_payload,
@@ -132,23 +133,27 @@ class SnapshotPublisher:
         ``snapshot`` is the manager's just-published
         :class:`~repro.service.window.ServiceSnapshot`; its report tuple
         is canonical and append-only, so the delta carries only the
-        tail this boundary appended.  ``span`` (tracing on) is the
-        publish span's wire context; it rides the frame so the replica's
-        apply span joins the window's trace tree across the process
-        boundary.
+        tail this boundary appended, and only that tail is rendered.
+        ``span`` (tracing on) is the publish span's wire context; it
+        rides the frame so the replica's apply span joins the window's
+        trace tree across the process boundary.
         """
-        from repro.service.window import report_to_dict
-
-        records = [report_to_dict(report) for report in snapshot.reports]
-        if len(records) < len(self._records):
+        reports = snapshot.reports
+        known = len(self._records)
+        if len(reports) < known:
             # The engine rebased its report stream (never in normal
             # operation).  Resume deltas can no longer describe it:
             # drop everyone and make every reconnect a full sync.
             self._history.clear()
             for sub in list(self._subscribers):
                 self._drop(sub)
-        new_reports = records[len(self._records):]
-        self._records = records
+            new_reports = []
+            self._records = [report_to_dict(report) for report in reports]
+        else:
+            new_reports = [report_to_dict(report) for report in reports[known:]]
+            # A new list, never an in-place extend: a SNAPSHOT frame
+            # being built holds the previous list across an await.
+            self._records = self._records + new_reports
         self._summary = summary
         if self.temporal_store is not None:
             self._temporal_pin = self.temporal_store.snapshot

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.core.reports import report_from_dict
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.collect import collect_replica, collect_temporal, collect_trace_ring
 from repro.obs.expo import render_text
@@ -51,7 +52,6 @@ from repro.service.http import (
     trace_response,
     BadParameter,
 )
-from repro.temporal.node import report_from_record
 from repro.temporal.wire import (
     apply_window_delta,
     import_ladder_state,
@@ -280,7 +280,7 @@ class ReplicaServer:
         )
         self._install_state(
             frame,
-            reports=tuple(report_from_record(r) for r in frame["reports"]),
+            reports=tuple(report_from_dict(r) for r in frame["reports"]),
             summary=frame["summary"],
         )
         self.full_syncs += 1
@@ -308,7 +308,7 @@ class ReplicaServer:
         self._install_state(
             frame,
             reports=state.reports + tuple(
-                report_from_record(r) for r in frame["new_reports"]
+                report_from_dict(r) for r in frame["new_reports"]
             ),
             summary=frame["summary"],
         )

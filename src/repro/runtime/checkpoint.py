@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.core.reports import SimplexReport
+from repro.core.reports import report_from_dict
 from repro.core.xsketch import report_order
 from repro.errors import ConfigurationError
 from repro.runtime.partition import KeyPartitioner
@@ -121,11 +121,10 @@ def load_sharded_checkpoint(
     sharded.batches_sent = list(manifest["batches_sent"])
     # The coordinator's merged report stream is the union of the shard
     # streams; rebuild it rather than persisting it twice.
-    reports = []
-    for snapshot in snapshots:
-        for record in snapshot["reports"]:
-            record = dict(record)
-            record["coefficients"] = tuple(record["coefficients"])
-            reports.append(SimplexReport(**record))
+    reports = [
+        report_from_dict(record)
+        for snapshot in snapshots
+        for record in snapshot["reports"]
+    ]
     sharded._reports = sorted(reports, key=report_order)
     return sharded

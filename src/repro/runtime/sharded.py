@@ -956,20 +956,24 @@ class ShardedXSketch:
         or :class:`~repro.core.vectorized.VectorizedXSketch` -- each
         implements the same ``merge()`` protocol).
 
-        The documented fallback merge path: per-shard states are
-        snapshotted at the current window boundary, rebuilt locally and
-        folded together (Stage 1 counter-wise, Stage 2 by weight
-        election).  The running shards are not disturbed.  Note the
-        merged sketch holds one ``config`` worth of memory, so Stage-2
-        buckets may overflow and elect by weight; with ample memory the
-        merged report stream matches the sharded one.
+        Shard states are folded together at the current window boundary
+        (Stage 1 counter-wise, Stage 2 by weight election).  The inline
+        backend folds its live shard sketches into a blank engine; the
+        process backend restores the per-shard snapshots and folds
+        those.  Both give the same sketch, and neither disturbs the
+        running shards.  Note the merged sketch holds one ``config``
+        worth of memory, so Stage-2 buckets may overflow and elect by
+        weight; with ample memory the merged report stream matches the
+        sharded one.
 
         The result is memoized per window: repeated calls between
         window boundaries return the same compacted sketch without
-        touching the workers.  Any new dispatched data or a
+        touching the shards.  Any new dispatched data or a
         ``flush_window`` invalidates the memo, and when the supervision
         auto-checkpoint already holds fresh per-shard snapshots at this
         boundary they are reused instead of a second snapshot round-trip.
+        The memo's report stream needs no refresh: the coordinator's
+        stream only changes at the boundaries that invalidate it.
         """
         if self._pending:
             raise RuntimeShardError(
@@ -978,19 +982,41 @@ class ShardedXSketch:
             )
         if self._merged_cache is not None and self._merged_cache[0] == self.window:
             self.merged_cache_hits += 1
-            merged = self._merged_cache[1]
-            merged._reports = sorted(self._reports, key=report_order)
-            return merged
+            return self._merged_cache[1]
         self.merged_cache_misses += 1
-        snapshots = self._cached_shard_snapshots()
-        if snapshots is None:
-            snapshots = self._collect_snapshots()
-        merged = restore_xsketch(snapshots[0], seed=self.seed)
-        for snapshot in snapshots[1:]:
-            merged.merge(restore_xsketch(snapshot, seed=self.seed))
-            self.merge_count += 1
-        merged._reports = sorted(self._reports, key=report_order)
+        if self.backend == "inline":
+            merged = self._fold_locals()
+        else:
+            snapshots = self._cached_shard_snapshots()
+            if snapshots is None:
+                snapshots = self._collect_snapshots()
+            merged = restore_xsketch(snapshots[0], seed=self.seed)
+            for snapshot in snapshots[1:]:
+                merged.merge(restore_xsketch(snapshot, seed=self.seed))
+        # merges of one shard into another: folding shard 0 into the
+        # blank only copies it, so both backends count the same
+        self.merge_count += self.n_shards - 1
+        # Already canonical: each flush appends one window's sorted
+        # reports, and a checkpoint load sorts.
+        merged._reports = list(self._reports)
         self._merged_cache = (self.window, merged)
+        return merged
+
+    def _fold_locals(self):
+        """The inline shards merged into a blank engine, no snapshots.
+
+        The blank carries shard 0's window and Stage-2 RNG state -- the
+        only fields a restore sets besides counters, cells and reports --
+        so the fold equals restoring shard 0's snapshot and merging the
+        others into it.  ``merge()`` copies what it takes, so the live
+        shards share no cells or counter arrays with the result.
+        """
+        first = self._locals[0]
+        merged = type(first)(self.config, seed=self.seed)
+        merged.window = first.window
+        merged.stage2._rng.setstate(first.stage2._rng.getstate())
+        for sketch in self._locals:
+            merged.merge(sketch)
         return merged
 
     def slim_summary(self) -> Dict:

@@ -11,12 +11,14 @@ DELTA/SNAPSHOT frame (docs/REPLICA.md).
 
 Determinism: the tracked list is sorted by the item's string form — the
 same canonical key the report stream uses — so two summaries of equal
-engine state are equal objects, wire-byte for wire-byte.
+engine state are equal objects, wire-byte for wire-byte.  The summary
+carries no decision counters: they are not sketch state, so a compaction
+rebuilt from shard snapshots (the process backend) would report zeros
+where one folded from live shards (inline) reports sums.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict
 
 
@@ -42,6 +44,5 @@ def slim_summary(sketch) -> Dict:
         "window": window,
         "tracked": tracked,
         "tracked_items": len(tracked),
-        "stats": dataclasses.asdict(sketch.stats),
         "memory_bytes": sketch.memory_bytes,
     }

@@ -23,7 +23,7 @@ import json
 from typing import Callable, List, Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.reports import SimplexReport
+from repro.core.reports import SimplexReport, report_to_dict
 from repro.errors import ConfigurationError
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -180,8 +180,6 @@ def reports_response(
     when one is attached; without it the range filters the snapshot
     list by window stamp (and says so in ``range.source``).
     """
-    from repro.service.window import report_to_dict
-
     try:
         window_range = query_range(query)
         since = query_int(query, "since", minimum=0)

@@ -34,25 +34,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.reports import SimplexReport
+from repro.core.reports import SimplexReport, report_to_dict  # noqa: F401  (re-exported)
 from repro.errors import ServiceError
 from repro.hashing.family import ItemId
 from repro.obs.collect import BATCH_BUCKETS
 from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanContext, new_span_id, new_trace_id
-
-
-def report_to_dict(report: SimplexReport) -> dict:
-    """JSON-safe rendering of one report for the HTTP API."""
-    return {
-        "item": report.item,
-        "start_window": report.start_window,
-        "report_window": report.report_window,
-        "lasting_time": report.lasting_time,
-        "coefficients": list(report.coefficients),
-        "mse": report.mse,
-    }
 
 
 class EngineAdapter:

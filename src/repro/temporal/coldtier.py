@@ -27,11 +27,10 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.core.reports import report_from_dict, report_to_dict
 from repro.errors import ConfigurationError
 from repro.temporal.node import (
     LadderNode,
-    report_from_record,
-    report_to_record,
     restore_freq,
     snapshot_freq,
 )
@@ -53,7 +52,7 @@ def _node_record(node: LadderNode, freq, reports, asof) -> Dict:
         "end": node.end,
         "items": node.items,
         "freq": snapshot_freq(freq) if freq is not None else None,
-        "reports": [report_to_record(report) for report in reports],
+        "reports": [report_to_dict(report) for report in reports],
         "asof": asof,
     }
 
@@ -97,7 +96,7 @@ class ColdTier:
         if record["freq"] is not None:
             freq = restore_freq(record["freq"], self.policy, self.hash_family)
         reports = tuple(
-            report_from_record(entry) for entry in record["reports"]
+            report_from_dict(entry) for entry in record["reports"]
         )
         return freq, reports, record.get("asof")
 
@@ -177,7 +176,7 @@ def restore_store(directory: Union[str, Path], spill_dir: Optional[str] = None):
             items=record["items"],
             freq=freq,
             reports=tuple(
-                report_from_record(entry) for entry in record["reports"]
+                report_from_dict(entry) for entry in record["reports"]
             ),
             asof=record.get("asof"),
         )

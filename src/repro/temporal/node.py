@@ -27,7 +27,6 @@ published query snapshots can read them without locks.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.reports import SimplexReport
@@ -82,18 +81,6 @@ def copy_freq(sketch: CMSketch, policy, hash_family: str = "crc") -> CMSketch:
     for mine, theirs in zip(copied.arrays, sketch.arrays):
         mine.merge(theirs)
     return copied
-
-
-def report_to_record(report: SimplexReport) -> Dict:
-    record = dataclasses.asdict(report)
-    record["coefficients"] = list(record["coefficients"])
-    return record
-
-
-def report_from_record(record: Dict) -> SimplexReport:
-    record = dict(record)
-    record["coefficients"] = tuple(record["coefficients"])
-    return SimplexReport(**record)
 
 
 class LadderNode:

@@ -29,7 +29,7 @@ from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compat import FrozenSlots
-from repro.core.reports import SimplexReport
+from repro.core.reports import SimplexReport, report_to_dict
 from repro.core.serialize import restore_xsketch
 from repro.core.xsketch import report_order
 from repro.errors import ConfigurationError
@@ -41,7 +41,6 @@ from repro.temporal.node import (
     LadderNode,
     copy_freq,
     make_freq_sketch,
-    report_to_record,
     snapshot_freq,
 )
 from repro.temporal.policy import TemporalPolicy
@@ -180,7 +179,7 @@ class TemporalStore:
                 "window": window,
                 "items": items,
                 "freq": snapshot_freq(freq),
-                "reports": [report_to_record(report) for report in kept],
+                "reports": [report_to_dict(report) for report in kept],
             })
         node = LadderNode(0, window, items=items, freq=freq,
                           reports=kept, asof=asof)

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.reports import report_from_dict, report_to_dict
 from repro.errors import ConfigurationError
 from repro.temporal.node import (
     LadderNode,
     make_freq_sketch,
-    report_from_record,
-    report_to_record,
     restore_freq,
     snapshot_freq,
 )
@@ -60,7 +59,7 @@ def apply_window_delta(store: TemporalStore, record: Dict) -> None:
         freq = restore_freq(record["freq"], store.policy, store.hash_family)
     else:
         freq = make_freq_sketch(store.policy, store.seed, store.hash_family)
-    reports = tuple(report_from_record(r) for r in record["reports"])
+    reports = tuple(report_from_dict(r) for r in record["reports"])
     node = LadderNode(0, window, items=record["items"], freq=freq,
                       reports=reports)
     store.ladder.append(node)
@@ -89,7 +88,7 @@ def export_ladder_state(store: TemporalStore, snapshot=None) -> Dict:
             "start": node.start,
             "items": node.items,
             "freq": snapshot_freq(freq) if freq is not None else None,
-            "reports": [report_to_record(report) for report in reports],
+            "reports": [report_to_dict(report) for report in reports],
         })
     return {
         "version": WIRE_VERSION,
@@ -130,7 +129,7 @@ def import_ladder_state(state: Dict) -> TemporalStore:
             items=record["items"],
             freq=freq,
             reports=tuple(
-                report_from_record(r) for r in record["reports"]
+                report_from_dict(r) for r in record["reports"]
             ),
         )
         store.ladder.nodes.append(node)

@@ -1,8 +1,12 @@
 """Tests for X-Sketch checkpoint/restore."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.config import XSketchConfig
+from repro.core.reports import SimplexReport, report_from_dict, report_to_dict
 from repro.core.serialize import (
     load_xsketch,
     restore_xsketch,
@@ -156,8 +160,41 @@ class TestVectorizedSnapshot:
         assert type(scalar).__name__ == "XSketch"
         assert snapshot_xsketch(scalar)["stage1_arrays"] == snapshot["stage1_arrays"]
 
+    def test_snapshot_is_plain_json(self):
+        """Counters leave the numpy tower as Python ints, and the JSON
+        round trip restores to a sketch with an equal snapshot."""
+        trace = make_dataset("ip_trace", n_windows=12, window_size=500, seed=4)
+        sketch = self._vectorized()
+        for window in trace.windows():
+            sketch.run_window(window)
+        snapshot = snapshot_xsketch(sketch)
+        assert snapshot["reports"], "the stream must produce reports"
+        assert all(
+            type(value) is int
+            for level in snapshot["stage1_arrays"]
+            for value in level
+        )
+        assert any(any(level) for level in snapshot["stage1_arrays"])
+        loaded = json.loads(json.dumps(snapshot))
+        assert loaded == snapshot
+        assert snapshot_xsketch(restore_xsketch(loaded, seed=9)) == snapshot
+
     def test_mid_window_snapshot_rejected(self):
         sketch = self._vectorized()
         sketch.insert("x")  # buffer non-empty
         with pytest.raises(ConfigurationError):
             snapshot_xsketch(sketch)
+
+
+class TestReportCodec:
+    def test_record_keeps_field_order_and_round_trips(self):
+        """One codec writes every report record; its bytes equal the
+        dataclass encoding snapshots and ladder nodes used before it."""
+        report = SimplexReport(
+            item="flow-7", start_window=3, report_window=9, lasting_time=8,
+            coefficients=(1.5, -2.0), mse=0.25,
+        )
+        record = report_to_dict(report)
+        assert list(record) == [field.name for field in dataclasses.fields(SimplexReport)]
+        assert json.dumps(record) == json.dumps(dataclasses.asdict(report))
+        assert report_from_dict(json.loads(json.dumps(record))) == report
