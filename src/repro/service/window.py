@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -48,13 +49,15 @@ class EngineAdapter:
 
     Engines must provide ``insert``/``end_window`` (single-process) or
     ``ingest_batch``/``flush_window`` (sharded); ``reports``,
-    ``checkpoint``/``close``/``stats`` are optional and degrade
-    gracefully.
+    ``ingest_counts``, ``checkpoint``/``close``/``stats`` are optional
+    and degrade gracefully.
     """
 
     def __init__(self, engine):
         self.engine = engine
         self._batch_ingest = getattr(engine, "ingest_batch", None)
+        #: the engine's ``ingest_counts`` (buffered engines), else None
+        self.ingest_counts = getattr(engine, "ingest_counts", None)
 
     def ingest_batch(self, items: Sequence[ItemId]) -> None:
         if self._batch_ingest is not None:
@@ -341,9 +344,17 @@ class WindowManager:
         await asyncio.to_thread(self._engine_ingest, batch)
 
     def _engine_ingest(self, batch: List[ItemId]) -> None:
-        if self._feed_temporal:
+        if not self._feed_temporal:
+            self.adapter.ingest_batch(batch)
+        elif self.adapter.ingest_counts is not None:
+            # one collapse feeds both the store and a buffered engine
+            counts = Counter(batch)
+            self.temporal.observe_counts(counts)
+            self.adapter.ingest_counts(counts)
+        else:
+            # per-arrival engines keep the ordered batch
             self.temporal.observe_items(batch)
-        self.adapter.ingest_batch(batch)
+            self.adapter.ingest_batch(batch)
 
     async def _close_window_locked(self) -> None:
         state = self._ensure_window_trace()

@@ -7,6 +7,8 @@ substrates:
 * simple sketches -- CM [23], CU [37], Count [38], CSM [39];
 * TowerSketch [26] with both CM- and CU-style updates and overflow
   (saturation) semantics, the structure of X-Sketch's Stage 1;
+* numpy batch twins of CM and the windowed tower, for the vectorized
+  engine and the temporal tier;
 * Cold Filter [40] and LogLog Filter [41], the Figure-9 competitors;
 * the advanced related-work estimators PyramidSketch [44],
   MV-Sketch [45] and ElasticSketch [46];
@@ -27,6 +29,7 @@ from repro.sketch.pyramid import PyramidSketch
 from repro.sketch.mv import MVSketch
 from repro.sketch.elastic import ElasticSketch
 from repro.sketch.spacesaving import SpaceSaving
+from repro.sketch.vectorized_cm import VectorizedCM
 from repro.sketch.vectorized_tower import VectorizedTower
 from repro.sketch.windowed import (
     WINDOWED_STRUCTURES,
@@ -53,6 +56,7 @@ __all__ = [
     "PyramidSketch",
     "SpaceSaving",
     "TowerSketch",
+    "VectorizedCM",
     "VectorizedTower",
     "WINDOWED_STRUCTURES",
     "WindowedCM",

@@ -9,28 +9,24 @@ sequential saturating adds (add-then-clip), so results match the scalar
 structure exactly under the CM rule; the CU rule is approximated
 order-independently (documented on :meth:`bulk_insert`).
 
-Position hashing is batched too.  For the default ``crc`` family the
-seed folds out of the CRC via its affine property --
-``crc32(msg, seed) == crc32(msg, 0) ^ C(seed, len(msg))`` where
-``C(seed, n) = crc32(0^n, seed) ^ crc32(0^n, 0)`` -- so a batch costs
-one C-speed ``zlib.crc32`` call per item plus a vectorized xor /
-finalization / modulo per level, bit-identical to the scalar
-:meth:`~repro.hashing.family.CrcHashFamily.hash32`.  Other families
-fall back to the per-item loop.  Computed rows are memoized in a
-bounded LRU cache (:attr:`DEFAULT_POS_CACHE_CAPACITY` items by
-default); hit/miss/eviction counts surface as the
+Position hashing is batched too, through the family's
+:meth:`~repro.hashing.family.HashFamily.hash_rows`: for the default
+``crc`` family one C-speed ``zlib.crc32`` call per item plus a
+vectorized seed fold / finalization / modulo per level, bit-identical
+to the scalar ``hash32``; other families loop per item.  Computed rows
+are memoized in a bounded LRU cache (:attr:`DEFAULT_POS_CACHE_CAPACITY`
+items by default); hit/miss/eviction counts surface as the
 ``vectorized_hash_cache_*`` metrics via :meth:`cache_info`.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, MergeError
-from repro.hashing.family import CrcHashFamily, HashFamily, ItemId, encode_item, make_family
+from repro.hashing.family import HashFamily, ItemId, make_family
 from repro.sketch.tower import tower_level_widths
 
 #: Sentinel larger than any counter value, used to mask overflow reads.
@@ -40,9 +36,6 @@ _BIG = np.int64(1) << 40
 #: ``d=3`` a full cache is ~a few MB of tuples -- bounded working
 #: storage, not sketch state, so it is not part of ``memory_bytes``.
 DEFAULT_POS_CACHE_CAPACITY = 65536
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MIX = np.uint64(0x85EBCA6B)
 
 
 class VectorizedTower:
@@ -101,8 +94,6 @@ class VectorizedTower:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        #: per-(level, byte-length) CRC seed constants for batched hashing
-        self._crc_consts: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # position hashing
@@ -131,11 +122,11 @@ class VectorizedTower:
         self.cache_hits += hits
         self.cache_misses += len(miss_items)
         if miss_items:
-            hashed = self._hash_rows(miss_items)
+            hashed = self.family.hash_rows(miss_items, self.level_counters)
             out[miss_rows] = hashed
             if capacity > 0:
-                for item, row in zip(miss_items, hashed):
-                    cache[item] = tuple(int(v) for v in row)
+                for item, row in zip(miss_items, hashed.tolist()):
+                    cache[item] = tuple(row)
                 overflow = len(cache) - capacity
                 if overflow > 0:
                     iterator = iter(cache)
@@ -143,54 +134,6 @@ class VectorizedTower:
                         del cache[key]
                     self.cache_evictions += overflow
         return out
-
-    def _hash_rows(self, items: Sequence[ItemId]) -> np.ndarray:
-        """Fresh position rows for ``items`` (no cache involvement)."""
-        if isinstance(self.family, CrcHashFamily):
-            return self._hash_rows_crc(items)
-        family = self.family
-        counters = self.level_counters
-        d = self.d
-        rows = [
-            tuple(family.hash32(item, i) % counters[i] for i in range(d))
-            for item in items
-        ]
-        return np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
-
-    def _crc_const(self, index: int, length: int) -> int:
-        """``crc32(0^length, derived_seed) ^ crc32(0^length, 0)``, memoized."""
-        key = (index, length)
-        const = self._crc_consts.get(key)
-        if const is None:
-            zeros = b"\x00" * length
-            const = zlib.crc32(zeros, self.family._derive_seed(index)) ^ zlib.crc32(zeros)
-            self._crc_consts[key] = const
-        return const
-
-    def _hash_rows_crc(self, items: Sequence[ItemId]) -> np.ndarray:
-        """Batched CRC positions, bit-identical to the scalar family."""
-        n = len(items)
-        bases = np.empty(n, dtype=np.uint64)
-        lengths = np.empty(n, dtype=np.int64)
-        for row, item in enumerate(items):
-            encoded = encode_item(item)
-            bases[row] = zlib.crc32(encoded)
-            lengths[row] = len(encoded)
-        unique_lengths = np.unique(lengths)
-        rows = np.empty((n, self.d), dtype=np.int64)
-        consts = np.empty(n, dtype=np.uint64)
-        for index in range(self.d):
-            if unique_lengths.shape[0] == 1:
-                consts[:] = self._crc_const(index, int(unique_lengths[0]))
-            else:
-                for length in unique_lengths:
-                    consts[lengths == length] = self._crc_const(index, int(length))
-            raw = bases ^ consts
-            raw ^= raw >> np.uint64(16)
-            raw = (raw * _MIX) & _MASK32
-            raw ^= raw >> np.uint64(13)
-            rows[:, index] = (raw % np.uint64(self.level_counters[index])).astype(np.int64)
-        return rows
 
     def cache_info(self) -> Dict[str, int]:
         """Position-cache effectiveness counters (metrics source)."""

@@ -61,10 +61,11 @@ class ColdTier:
     """Spill/load node payloads under one directory (see module doc)."""
 
     def __init__(self, directory: Union[str, Path], policy: TemporalPolicy,
-                 hash_family: str = "crc"):
+                 seed: int, hash_family: str = "crc"):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.policy = policy
+        self.seed = seed
         self.hash_family = hash_family
 
     def path_of(self, node: LadderNode) -> Path:
@@ -94,7 +95,9 @@ class ColdTier:
         record = json.loads(self.path_of(node).read_text())
         freq = None
         if record["freq"] is not None:
-            freq = restore_freq(record["freq"], self.policy, self.hash_family)
+            freq = restore_freq(
+                record["freq"], self.policy, self.seed, self.hash_family
+            )
         reports = tuple(
             report_from_dict(entry) for entry in record["reports"]
         )
@@ -169,7 +172,9 @@ def restore_store(directory: Union[str, Path], spill_dir: Optional[str] = None):
         record = json.loads((directory / filename).read_text())
         freq = None
         if record["freq"] is not None:
-            freq = restore_freq(record["freq"], policy, store.hash_family)
+            freq = restore_freq(
+                record["freq"], policy, store.seed, store.hash_family
+            )
         node = LadderNode(
             record["level"],
             record["start"],

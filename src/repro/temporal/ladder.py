@@ -25,9 +25,8 @@ from repro.temporal.node import LadderNode, merge_nodes
 class DyadicLadder:
     """Ordered, disjoint, contiguous dyadic nodes with bounded levels."""
 
-    def __init__(self, policy, hash_family: str = "crc"):
+    def __init__(self, policy):
         self.policy = policy
-        self.hash_family = hash_family
         #: nodes ordered by ``start``; disjoint; contiguous
         self.nodes: List[LadderNode] = []
         #: coarsening merges performed so far
@@ -94,9 +93,7 @@ class DyadicLadder:
                 index = pair
                 children = self.nodes[index:index + 2]
                 parent = merge_nodes(
-                    children[0], children[1],
-                    self.policy, self.hash_family,
-                    payload_of=self.materialize,
+                    children[0], children[1], payload_of=self.materialize
                 )
                 self.nodes[index:index + 2] = [parent]
                 self.coarsenings += 1

@@ -27,21 +27,23 @@ published query snapshots can read them without locks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.reports import SimplexReport
 from repro.core.xsketch import report_order
 from repro.errors import ConfigurationError
-from repro.sketch.cm import CMSketch
+from repro.sketch.vectorized_cm import VectorizedCM
 
 
-def make_freq_sketch(policy, seed: int, hash_family: str = "crc") -> CMSketch:
+def make_freq_sketch(policy, seed: int, hash_family: str = "crc") -> VectorizedCM:
     """A node frequency sketch under ``policy``'s geometry.
 
     All sketches of one store share ``seed`` (and thus the hash
     family), which is what makes them merge-compatible up the ladder.
     """
-    return CMSketch(
+    return VectorizedCM(
         memory_bytes=policy.freq_bytes,
         d=policy.freq_depth,
         seed=seed,
@@ -49,38 +51,62 @@ def make_freq_sketch(policy, seed: int, hash_family: str = "crc") -> CMSketch:
     )
 
 
-def snapshot_freq(sketch: CMSketch) -> Dict:
+def snapshot_freq(sketch: VectorizedCM) -> Dict:
     """JSON-safe state of a node frequency sketch (cold-tier payload)."""
     return {
         "d": sketch.d,
         "width": sketch.width,
-        "bits": sketch.arrays[0].bits,
+        "bits": sketch.bits,
         "seed": sketch.family.seed,
-        "arrays": [list(array) for array in sketch.arrays],
+        "arrays": sketch.counters.tolist(),
     }
 
 
-def restore_freq(state: Dict, policy, hash_family: str = "crc") -> CMSketch:
-    """Rebuild a frequency sketch from :func:`snapshot_freq` output."""
-    sketch = make_freq_sketch(policy, seed=state["seed"], hash_family=hash_family)
-    if sketch.d != state["d"] or sketch.width != state["width"]:
+def restore_freq(state: Dict, policy, seed: int,
+                 hash_family: str = "crc") -> VectorizedCM:
+    """Rebuild a frequency sketch from :func:`snapshot_freq` output.
+
+    The payload comes from outside the process (replica frames,
+    cold-tier and saved-store files), so all of it is checked: ``d``,
+    ``width`` and ``bits`` must be ``policy``'s geometry and ``seed``
+    the owning store's, and ``arrays`` exactly ``d`` rows of exactly
+    ``width`` ints (bools and floats are not ints), each within the
+    counter range.  Anything else raises :class:`ConfigurationError`.
+    """
+    sketch = make_freq_sketch(policy, seed, hash_family)
+    if not isinstance(state, dict):
         raise ConfigurationError(
-            f"frequency-sketch geometry mismatch: policy gives "
-            f"d={sketch.d} w={sketch.width}, snapshot has "
-            f"d={state['d']} w={state['width']}"
+            f"frequency-sketch payload must be an object, got {type(state).__name__}"
         )
-    for array, values in zip(sketch.arrays, state["arrays"]):
-        for index, value in enumerate(values):
-            array.set(index, value)
+    expected = {"d": sketch.d, "width": sketch.width, "bits": sketch.bits,
+                "seed": seed}
+    for key, want in expected.items():
+        got = state.get(key)
+        if type(got) is not int or got != want:
+            raise ConfigurationError(
+                f"frequency-sketch {key} mismatch: expected {want}, payload has {got!r}"
+            )
+    rows = state.get("arrays")
+    if (
+        not isinstance(rows, list)
+        or len(rows) != sketch.d
+        or any(not isinstance(row, list) or len(row) != sketch.width for row in rows)
+    ):
+        raise ConfigurationError(
+            f"frequency-sketch arrays must be {sketch.d} rows of {sketch.width} counters"
+        )
+    if any(set(map(type, row)) != {int} for row in rows):
+        raise ConfigurationError("frequency-sketch counters must all be ints")
+    try:
+        counters = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        counters = None
+    if counters is None or counters.min() < 0 or counters.max() > sketch.max_value:
+        raise ConfigurationError(
+            f"frequency-sketch counters must lie in [0, {sketch.max_value}]"
+        )
+    sketch.counters = counters
     return sketch
-
-
-def copy_freq(sketch: CMSketch, policy, hash_family: str = "crc") -> CMSketch:
-    """An independent copy (coarsening must not mutate published nodes)."""
-    copied = make_freq_sketch(policy, seed=sketch.family.seed, hash_family=hash_family)
-    for mine, theirs in zip(copied.arrays, sketch.arrays):
-        mine.merge(theirs)
-    return copied
 
 
 class LadderNode:
@@ -95,7 +121,7 @@ class LadderNode:
         start: int,
         *,
         items: int = 0,
-        freq: Optional[CMSketch] = None,
+        freq: Optional[VectorizedCM] = None,
         reports: Tuple[SimplexReport, ...] = (),
         asof: Optional[Dict] = None,
     ):
@@ -146,15 +172,16 @@ class LadderNode:
         }
 
 
-def merge_nodes(first: LadderNode, second: LadderNode, policy,
-                hash_family: str = "crc", payload_of=None) -> LadderNode:
+def merge_nodes(first: LadderNode, second: LadderNode,
+                payload_of=None) -> LadderNode:
     """Coarsen two adjacent aligned siblings into their parent.
 
-    The parent gets a *fresh* frequency sketch merged from copies of
-    both children (published query snapshots may still hold the
-    children, so they are never mutated), the concatenated report
-    stream in canonical order, and no ``asof`` payload — deep
-    time-travel fidelity is exactly what coarsening gives up.
+    The parent gets a *fresh* frequency sketch, a copy of the first
+    child's merged with the second's (published query snapshots may
+    still hold the children, so they are never mutated), the
+    concatenated report stream in canonical order, and no ``asof``
+    payload — deep time-travel fidelity is exactly what coarsening
+    gives up.
 
     ``payload_of(node) -> (freq, reports)`` materializes a child's
     payload (the store wires it to the cold tier so spilled nodes can
@@ -179,8 +206,7 @@ def merge_nodes(first: LadderNode, second: LadderNode, policy,
     second_freq, second_reports = payload_of(second)
     freq = None
     if first_freq is not None and second_freq is not None:
-        freq = copy_freq(first_freq, policy, hash_family)
-        freq.merge(second_freq)
+        freq = first_freq.copy().merge(second_freq)
     reports: List[SimplexReport] = sorted(
         (*first_reports, *second_reports), key=report_order
     )

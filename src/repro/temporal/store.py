@@ -4,11 +4,13 @@ The store subscribes to the engine's window lifecycle:
 
 ``observe_counts(counts)``
     called from the ingest path (once per arrival batch, collapsed to
-    ``(key, count)`` pairs); feeds the currently-open window's frequency
-    sketch.  ``observe_items(items)`` collapses a raw batch first.
+    ``(key, count)`` pairs); adds the counts to the open window's
+    key -> count buffer, which holds one entry per distinct key of the
+    window.  ``observe_items(items)`` collapses a raw batch first.
 ``on_window(window, reports, snapshot_fn=None)``
     called at each window boundary with that window's freshly merged
-    simplex reports.  Seals the open frequency sketch into a level-0
+    simplex reports.  Hashes the buffer's keys once, in one batch, into
+    a fresh frequency sketch, seals it into a level-0
     :class:`~repro.temporal.node.LadderNode`, optionally attaches a
     full merged X-Sketch snapshot (``snapshot_fn()``, kept on the most
     recent ``policy.fidelity_windows`` windows only), appends it to the
@@ -37,12 +39,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.runtime.mergeable import merge_all
 from repro.temporal.coldtier import ColdTier
 from repro.temporal.ladder import DyadicLadder
-from repro.temporal.node import (
-    LadderNode,
-    copy_freq,
-    make_freq_sketch,
-    snapshot_freq,
-)
+from repro.temporal.node import LadderNode, make_freq_sketch, snapshot_freq
 from repro.temporal.policy import TemporalPolicy
 
 #: Buckets for the per-query covering-node fan-in histogram: the dyadic
@@ -85,14 +82,16 @@ class TemporalStore:
         self.policy = policy if policy is not None else TemporalPolicy()
         self.seed = seed
         self.hash_family = hash_family
-        self.ladder = DyadicLadder(self.policy, hash_family)
+        self.ladder = DyadicLadder(self.policy)
         self.ladder.materialize = self.payload_of
         self.ladder.retire = self._retire
         self.cold: Optional[ColdTier] = None
         if self.policy.spill_dir is not None:
-            self.cold = ColdTier(self.policy.spill_dir, self.policy, hash_family)
-        #: frequency sketch of the currently-open window (lazy)
-        self._open_freq = None
+            self.cold = ColdTier(self.policy.spill_dir, self.policy, seed, hash_family)
+        #: empty sketch every sealed window starts as a copy of
+        self._blank = make_freq_sketch(self.policy, seed, hash_family)
+        #: the open window's arrivals, key -> count
+        self._open_counts: Dict = {}
         self._open_items = 0
         #: when True, each sealed window also leaves a JSON-safe wire
         #: delta behind (:mod:`repro.temporal.wire`) for the replica
@@ -123,19 +122,20 @@ class TemporalStore:
         self.observe_counts(Counter(items))
 
     def observe_counts(self, counts: Mapping) -> None:
-        """Feed the open window's frequency sketch (ingest hot path).
+        """Buffer the open window's arrivals (ingest hot path).
 
-        One Count-Min ``insert(key, count)`` per distinct key: CM
-        addition commutes and saturates per counter, so the sealed
-        node is the one the same arrivals fed one at a time would give.
+        No hashing here: :meth:`on_window` hashes each distinct key of
+        the window once.  CM addition commutes and saturates per
+        counter, so the sealed node is the one the same arrivals fed
+        one at a time would give.
         """
-        if self._open_freq is None:
-            self._open_freq = make_freq_sketch(
-                self.policy, self.seed, self.hash_family
-            )
-        insert = self._open_freq.insert
-        for item, count in counts.items():
-            insert(item, count)
+        buffer = self._open_counts
+        if buffer:
+            get = buffer.get
+            for item, count in counts.items():
+                buffer[item] = get(item, 0) + count
+        else:
+            self._open_counts = dict(counts)
         arrivals = sum(counts.values())
         self._open_items += arrivals
         self.items_observed += arrivals
@@ -158,12 +158,11 @@ class TemporalStore:
             raise ConfigurationError(
                 f"temporal store expected window {tip}, got {window}"
             )
-        freq = self._open_freq
+        freq = self._blank.copy()
+        freq.ingest_counts(self._open_counts)
         items = self._open_items
-        self._open_freq = None
+        self._open_counts = {}
         self._open_items = 0
-        if freq is None:
-            freq = make_freq_sketch(self.policy, self.seed, self.hash_family)
         kept = (
             tuple(sorted(reports, key=report_order))
             if self.policy.track_reports else ()
@@ -288,8 +287,7 @@ class TemporalStore:
                 sketches.append(freq)
         if not sketches:
             return None
-        first = copy_freq(sketches[0], self.policy, self.hash_family)
-        return merge_all(first, *sketches[1:])
+        return merge_all(sketches[0].copy(), *sketches[1:])
 
     def range_frequency(self, item, a: int, b: int) -> int:
         """Estimated arrivals of ``item`` during windows ``[a, b]``."""
@@ -342,9 +340,8 @@ class TemporalStore:
 
     @property
     def memory_bytes(self) -> float:
-        open_bytes = (
-            self._open_freq.memory_bytes if self._open_freq is not None else 0.0
-        )
+        # the open window counts as the sketch it seals into
+        open_bytes = self._blank.memory_bytes if self._open_counts else 0.0
         return self.ladder.memory_bytes + open_bytes
 
     def save(self, directory) -> None:

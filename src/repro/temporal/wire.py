@@ -56,7 +56,9 @@ def apply_window_delta(store: TemporalStore, record: Dict) -> None:
             f"replica ladder expected window {tip}, got delta for {window}"
         )
     if record.get("freq") is not None:
-        freq = restore_freq(record["freq"], store.policy, store.hash_family)
+        freq = restore_freq(
+            record["freq"], store.policy, store.seed, store.hash_family
+        )
     else:
         freq = make_freq_sketch(store.policy, store.seed, store.hash_family)
     reports = tuple(report_from_dict(r) for r in record["reports"])
@@ -123,7 +125,9 @@ def import_ladder_state(state: Dict) -> TemporalStore:
     for record in state["nodes"]:
         freq = None
         if record.get("freq") is not None:
-            freq = restore_freq(record["freq"], policy, store.hash_family)
+            freq = restore_freq(
+                record["freq"], policy, store.seed, store.hash_family
+            )
         node = LadderNode(
             record["level"], record["start"],
             items=record["items"],

@@ -134,7 +134,7 @@ class TestBatchedPositionHashing:
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_crc_rows_match_scalar_hash32(self, seed):
         tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=seed)
-        rows = tower._hash_rows(self.ITEMS)
+        rows = tower.family.hash_rows(self.ITEMS, tower.level_counters)
         for row, item in zip(rows, self.ITEMS):
             for index in range(tower.d):
                 expected = tower.family.hash32(item, index) % tower.level_counters[index]
@@ -143,7 +143,7 @@ class TestBatchedPositionHashing:
     @pytest.mark.parametrize("name", ["bob", "murmur"])
     def test_fallback_families_match_scalar_hash32(self, name):
         tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=3, hash_family=name)
-        rows = tower._hash_rows(self.ITEMS)
+        rows = tower.family.hash_rows(self.ITEMS, tower.level_counters)
         for row, item in zip(rows, self.ITEMS):
             for index in range(tower.d):
                 expected = tower.family.hash32(item, index) % tower.level_counters[index]

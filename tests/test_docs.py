@@ -34,7 +34,7 @@ API_EXPORTS = {
         "CMSketch", "CUSketch", "CountSketch", "CSMSketch", "TowerSketch",
         "ColdFilter", "LogLogFilter", "PyramidSketch", "MVSketch",
         "ElasticSketch", "SpaceSaving", "WindowedTower", "VectorizedTower",
-        "CounterArray", "make_windowed_filter",
+        "VectorizedCM", "CounterArray", "make_windowed_filter",
     ],
     "repro.streams": [
         "Trace", "make_dataset", "ip_trace_stream", "mawi_stream",

@@ -24,6 +24,7 @@ from repro.core.serialize import snapshot_xsketch
 from repro.fitting.simplex import SimplexTask
 from repro.runtime.sharded import ShardedXSketch
 from repro.temporal import TemporalPolicy, TemporalStore
+from repro.temporal.node import snapshot_freq
 
 SEED = 5
 N_WINDOWS = 10
@@ -107,7 +108,7 @@ def _run(windows, cuts, engine, backend):
         }
     state["nodes"] = [
         (node.level, node.start, node.end, node.items,
-         [list(array) for array in node.freq.arrays], node.reports, node.asof)
+         snapshot_freq(node.freq), node.reports, node.asof)
         for node in store.snapshot.nodes
     ]
     state["deltas"] = store.take_deltas()

@@ -7,7 +7,7 @@ import pytest
 from repro.core.reports import SimplexReport
 from repro.errors import ConfigurationError
 from repro.temporal.ladder import DyadicLadder
-from repro.temporal.node import LadderNode, make_freq_sketch, merge_nodes
+from repro.temporal.node import LadderNode, make_freq_sketch, merge_nodes, snapshot_freq
 from repro.temporal.policy import TemporalPolicy
 
 
@@ -55,32 +55,33 @@ class TestNode:
     def test_merge_requires_adjacent_aligned_siblings(self):
         policy = make_policy()
         a, b = window_node(policy, 0), window_node(policy, 1)
-        parent = merge_nodes(a, b, policy)
+        parent = merge_nodes(a, b)
         assert (parent.level, parent.start, parent.end) == (1, 0, 2)
         with pytest.raises(ConfigurationError):
-            merge_nodes(window_node(policy, 0), window_node(policy, 2), policy)
+            merge_nodes(window_node(policy, 0), window_node(policy, 2))
         with pytest.raises(ConfigurationError):
             # window 1 is not aligned to the level-1 grid
-            merge_nodes(window_node(policy, 1), window_node(policy, 2), policy)
+            merge_nodes(window_node(policy, 1), window_node(policy, 2))
 
     def test_merge_is_exact_and_does_not_mutate_children(self):
         policy = make_policy()
         a = window_node(policy, 0, items=["x", "x", "y"])
         b = window_node(policy, 1, items=["x", "z"])
-        before = [list(array) for array in a.freq.arrays]
-        parent = merge_nodes(a, b, policy)
+        before = snapshot_freq(a.freq)
+        parent = merge_nodes(a, b)
         assert parent.freq.query("x") == 3
         assert parent.freq.query("y") == 1
         assert parent.items == 5
         # published snapshots may still hold the children: untouched
-        assert [list(array) for array in a.freq.arrays] == before
+        assert snapshot_freq(a.freq) == before
+        assert parent.freq.counters is not a.freq.counters
         assert a.freq.query("x") == 2
 
     def test_merge_concatenates_reports_in_canonical_order(self):
         policy = make_policy()
         a = window_node(policy, 0, reports=[make_report("b", 0)])
         b = window_node(policy, 1, reports=[make_report("a", 1), make_report("a", 0)])
-        parent = merge_nodes(a, b, policy)
+        parent = merge_nodes(a, b)
         stamps = [(r.report_window, str(r.item)) for r in parent.reports]
         assert stamps == sorted(stamps)
         assert parent.report_count == 3
@@ -89,7 +90,7 @@ class TestNode:
         policy = make_policy()
         a = window_node(policy, 0)
         a.asof = {"window": 1}
-        parent = merge_nodes(a, window_node(policy, 1), policy)
+        parent = merge_nodes(a, window_node(policy, 1))
         assert parent.asof is None
 
 

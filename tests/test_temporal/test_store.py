@@ -14,7 +14,7 @@ from repro.errors import ConfigurationError
 from repro.obs.collect import collect_temporal
 from repro.runtime.mergeable import merge_all
 from repro.temporal import TemporalPolicy, TemporalStore, parse_range, rank_growth
-from repro.temporal.node import copy_freq, make_freq_sketch
+from repro.temporal.node import make_freq_sketch, snapshot_freq
 from repro.temporal.query import RangeQuery
 
 SEED = 42
@@ -87,7 +87,7 @@ class TestSubRangeEquivalence:
         return out
 
     def direct_merge(self, policy, direct_sketches, a, b):
-        first = copy_freq(direct_sketches[a], policy)
+        first = direct_sketches[a].copy()
         return merge_all(first, *direct_sketches[a + 1:b + 1])
 
     def test_reports_exact_for_every_sub_range(self, store, per_window_reports):
@@ -148,9 +148,7 @@ class TestSubRangeEquivalence:
         universe = sorted({item for batch in batches for item in batch})
         for a in range(WINDOWS):
             for b in range(a, WINDOWS):
-                merged = merge_all(
-                    copy_freq(direct[a], policy), *direct[a + 1:b + 1]
-                )
+                merged = merge_all(direct[a].copy(), *direct[a + 1:b + 1])
                 composed = store.range_sketch(a, b)
                 for item in universe:
                     assert composed.query(item) == merged.query(item), (a, b)
@@ -262,15 +260,13 @@ class TestLifecycle:
             store.on_window(window, [])
         frozen = store.snapshot
         nodes_before = frozen.nodes
-        arrays_before = [
-            [list(array) for array in node.freq.arrays] for node in frozen.nodes
-        ]
+        arrays_before = [snapshot_freq(node.freq) for node in frozen.nodes]
         for window in range(8, 16):
             store.observe_items(["y", "y"])
             store.on_window(window, [])
         assert frozen.nodes == nodes_before
         for node, before in zip(nodes_before, arrays_before):
-            assert [list(array) for array in node.freq.arrays] == before
+            assert snapshot_freq(node.freq) == before
         with pytest.raises(dataclasses.FrozenInstanceError):
             frozen.tip = 99
 
