@@ -14,7 +14,7 @@ import os
 
 from repro.apps import TelemetryAggregator
 from repro.config import XSketchConfig
-from repro.core import BatchedXSketch
+from repro.core import VectorizedXSketch
 from repro.fitting.simplex import SimplexTask
 from repro.ml import extract_features, feature_matrix
 from repro.streams import ddos_stream
@@ -32,7 +32,7 @@ def main() -> None:
         seed=13,
     )
     task = SimplexTask.paper_default(1)
-    sketch = BatchedXSketch(XSketchConfig(task=task, memory_kb=40.0), seed=13)
+    sketch = VectorizedXSketch(XSketchConfig(task=task, memory_kb=40.0), seed=13)
 
     aggregator = TelemetryAggregator(top_n=3)
     aggregator.run(sketch, trace)

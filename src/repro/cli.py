@@ -36,7 +36,7 @@ Commands:
     Run the codebase-specific AST lint rules (docs/LINT.md).
 
 ``run``, ``serve`` and ``stats`` accept
-``--engine xsketch|batched|vectorized`` to pick the ingest
+``--engine xsketch|vectorized`` to pick the ingest
 representation for xs-cm / xs-cu (applies per shard with
 ``--shards > 1``; see docs/RUNTIME.md "Engine selection"), and
 ``--obs-trace <path>``: attach a live recorder and dump the
@@ -56,7 +56,9 @@ import sys
 from typing import List, Optional
 
 from repro.config import StreamGeometry
+from repro.core.engines import ENGINE_NAMES
 from repro.core.oracle import SimplexOracle
+from repro.experiments.harness import ALGORITHMS
 from repro.fitting.simplex import SimplexTask
 from repro.metrics.classification import score_reports
 from repro.metrics.error import lasting_time_are
@@ -103,11 +105,11 @@ def _add_stream_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=["xsketch", "batched", "vectorized"],
+        "--engine", choices=ENGINE_NAMES,
         default="xsketch",
         help="ingest representation for xs-cm/xs-cu: per-arrival "
-        "(xsketch), dict-batched or numpy-vectorized; applies per shard "
-        "with --shards > 1 (docs/RUNTIME.md, 'Engine selection')",
+        "(xsketch) or numpy-vectorized; applies per shard with "
+        "--shards > 1 (docs/RUNTIME.md, 'Engine selection')",
     )
 
 
@@ -752,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stream_args(run)
     run.add_argument(
         "--algorithm",
-        choices=["xs-cm", "xs-cu", "xs-batched", "xs-vectorized", "baseline"],
+        choices=ALGORITHMS,
         default="xs-cu",
     )
     run.add_argument("-k", type=int, default=1, help="polynomial degree")
@@ -784,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stream_args(stats)
     stats.add_argument(
         "--algorithm",
-        choices=["xs-cm", "xs-cu", "xs-batched", "xs-vectorized", "baseline"],
+        choices=ALGORITHMS,
         default="xs-cu",
     )
     stats.add_argument("-k", type=int, default=1, help="polynomial degree")

@@ -9,7 +9,6 @@
 """
 
 from repro.core.reports import SimplexReport
-from repro.core.batched import BatchedXSketch
 from repro.core.multik import MultiKConfig, MultiKXSketch
 from repro.core.vectorized import VectorizedXSketch
 from repro.core.stage1 import Promotion, Stage1
@@ -27,7 +26,6 @@ from repro.core.serialize import (
 __all__ = [
     "BaselineConfig",
     "BaselineSolution",
-    "BatchedXSketch",
     "MultiKConfig",
     "MultiKXSketch",
     "Promotion",

@@ -1,17 +1,17 @@
-"""Engine registry: the three ingest representations behind one name.
+"""Engine registry: the two ingest representations behind one name.
 
 The runtime and service layers select *how* a shard processes its
 stream independently of *what* it computes: the per-arrival
-:class:`~repro.core.xsketch.XSketch` (the paper's Algorithm 1), the
-dict-batched :class:`~repro.core.batched.BatchedXSketch`, and the
-numpy :class:`~repro.core.vectorized.VectorizedXSketch`.  All three
-speak the same stream protocol (``insert`` / ``ingest_batch`` /
-``end_window`` / ``run_window`` / ``reports`` / ``stats`` / ``merge``
-/ snapshot support), so workers, the service ``WindowManager``, the
-supervision respawn path and ``merged_sketch()`` compaction work with
-any of them.  The two buffered engines also take ``(key, count)``
-pairs through ``ingest_counts``.  See docs/RUNTIME.md ("Engine
-selection") for the semantics matrix.
+:class:`~repro.core.xsketch.XSketch` (the paper's Algorithm 1, the
+reference) or the numpy :class:`~repro.core.vectorized.VectorizedXSketch`
+(the production engine).  Both speak the same stream protocol
+(``insert`` / ``ingest_batch`` / ``end_window`` / ``run_window`` /
+``reports`` / ``stats`` / ``merge`` / snapshot support), so workers,
+the service ``WindowManager``, the supervision respawn path and
+``merged_sketch()`` compaction work with either.  The vectorized
+engine also takes ``(key, count)`` pairs through ``ingest_counts``.
+See docs/RUNTIME.md ("Engine selection") for both engines' measured
+speed and accuracy against the exact oracle.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ from repro.errors import ConfigurationError
 from repro.hashing.family import HashFamily
 
 #: Selectable runtime engines, in the order they appear in docs.
-ENGINE_NAMES = ("xsketch", "batched", "vectorized")
+ENGINE_NAMES = ("xsketch", "vectorized")
 
-#: Engine that rebuilds each snapshot ``variant`` tag.
+#: Engine that rebuilds each snapshot ``variant`` tag.  ``batched``
+#: names the deleted dict-batched engine; its snapshots share the
+#: vectorized geometry and restore as vectorized.
 VARIANT_TO_ENGINE = {
     "per-arrival": "xsketch",
-    "batched": "batched",
+    "batched": "vectorized",
     "vectorized": "vectorized",
 }
 
@@ -72,10 +74,6 @@ def make_engine(
         from repro.core.xsketch import XSketch
 
         return XSketch(config, seed=seed, family=family, rng=rng, recorder=recorder)
-    if engine == "batched":
-        from repro.core.batched import BatchedXSketch
-
-        return BatchedXSketch(config, seed=seed, family=family, rng=rng, recorder=recorder)
     from repro.core.vectorized import VectorizedXSketch
 
     return VectorizedXSketch(config, seed=seed, family=family, rng=rng, recorder=recorder)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.config import XSketchConfig
-from repro.core.batched import BatchedXSketch
+from repro.core.engines import VARIANT_TO_ENGINE, make_engine
 from repro.core.reports import report_from_dict, report_to_dict
 from repro.core.stage2 import Stage2Cell
 from repro.core.vectorized import VectorizedXSketch
@@ -36,10 +36,10 @@ from repro.sketch.windowed import WindowedColdFilter, WindowedLogLog, _WindowedA
 
 FORMAT_VERSION = 1
 
-#: snapshot ``variant`` tag per engine class (and back).
+#: snapshot ``variant`` tag per engine class; restore maps each tag
+#: back through :data:`repro.core.engines.VARIANT_TO_ENGINE`.
 _VARIANTS = {
     XSketch: "per-arrival",
-    BatchedXSketch: "batched",
     VectorizedXSketch: "vectorized",
 }
 
@@ -92,10 +92,10 @@ def _load_stage1(sketch, saved: List[List[int]]) -> None:
 def snapshot_xsketch(sketch, shard: Dict = None) -> Dict:
     """Capture the complete state of ``sketch`` as a JSON-able dict.
 
-    Accepts every engine -- :class:`XSketch`, :class:`BatchedXSketch`
-    and :class:`VectorizedXSketch`.  The buffered engines (batched,
-    vectorized) must be snapshotted at a window boundary: a non-empty
-    arrival buffer is working state, not sketch state.
+    Accepts both engines -- :class:`XSketch` and
+    :class:`VectorizedXSketch`.  The buffered vectorized engine must be
+    snapshotted at a window boundary: a non-empty arrival buffer is
+    working state, not sketch state.
 
     ``shard`` optionally embeds shard metadata (shard id, partitioner
     spec) so a snapshot taken inside the sharded runtime is
@@ -149,6 +149,10 @@ def restore_xsketch(snapshot: Dict, seed: int = 0, recorder=None) -> XSketch:
     exactly from the snapshot).  ``recorder`` optionally attaches an
     observability recorder to the rebuilt sketch (registries are not
     part of snapshots; a restored sketch starts with fresh metrics).
+
+    The ``variant`` tag picks the engine through
+    :data:`~repro.core.engines.VARIANT_TO_ENGINE`; a legacy ``batched``
+    snapshot restores as vectorized.
     """
     if snapshot.get("format_version") != FORMAT_VERSION:
         raise ConfigurationError(
@@ -157,14 +161,11 @@ def restore_xsketch(snapshot: Dict, seed: int = 0, recorder=None) -> XSketch:
     task = SimplexTask(**snapshot["task"])
     config = XSketchConfig(task=task, **snapshot["config"])
     variant = snapshot.get("variant", "per-arrival")
-    if variant == "batched":
-        sketch = BatchedXSketch(config, seed=seed, recorder=recorder)
-    elif variant == "vectorized":
-        sketch = VectorizedXSketch(config, seed=seed, recorder=recorder)
-    elif variant == "per-arrival":
-        sketch = XSketch(config, seed=seed, recorder=recorder)
-    else:
+    if variant not in VARIANT_TO_ENGINE:
         raise ConfigurationError(f"unknown snapshot variant {variant!r}")
+    sketch = make_engine(
+        config, seed=seed, engine=VARIANT_TO_ENGINE[variant], recorder=recorder
+    )
     sketch.window = snapshot["window"]
     sketch.stage2._rng.setstate(_decode_state(snapshot["seed_state"]))
 

@@ -148,42 +148,6 @@ class Stage1:
             potential=lam,
         )
 
-    def insert_batch(self, item: ItemId, window: int, count: int) -> Optional[Promotion]:
-        """Batched variant of :meth:`insert`: ``count`` arrivals at once.
-
-        Used by :class:`repro.core.batched.BatchedXSketch`, which runs
-        the Preliminary-Condition / Potential check once per (item,
-        window) on the complete window count instead of per arrival.
-        """
-        s = self._s
-        self.arrivals += count
-        self.filter.insert_count(item, window % s, count)
-        if window < s - 1:
-            return None
-        frequencies = self.filter.query_slots_positive(item, self._recent_slots(window))
-        if frequencies is None:
-            return None
-        self.fits += 1
-        leading, mse = fit_leading_and_mse(frequencies, self._k)
-        lam = abs(leading) / (mse + self._delta)
-        obs = self._obs
-        if obs is not None:
-            self._h_potential.observe(lam)
-        if lam < self._g:
-            return None
-        self.promotions += 1
-        if obs is not None:
-            obs.event(
-                "stage1_promotion", item=str(item), window=window,
-                potential=round(lam, 6),
-            )
-        return Promotion(
-            item=item,
-            frequencies=tuple(frequencies),
-            w_str=window - s + 1,
-            potential=lam,
-        )
-
     def end_window(self, window: int) -> None:
         """Window transition: free the sub-counter slot the next window
         will use (the paper's Stage-1 cleaning policy)."""

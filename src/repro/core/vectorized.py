@@ -1,9 +1,9 @@
 """Vectorized X-Sketch: numpy-batched Stage 1 at stream rate.
 
-The third processing engine (after per-arrival :class:`XSketch` and the
-dict-batched :class:`BatchedXSketch`).  Semantics are those of batched
-mode -- all per-item decisions happen once per window on complete
-counts -- but every Stage-1 step is a numpy batch operation over the
+The production engine beside the per-arrival reference
+:class:`XSketch`.  It buffers one window's arrivals as (key, count)
+pairs and makes every per-item decision once per window, on complete
+counts; every Stage-1 step is a numpy batch operation over the
 window's distinct untracked items:
 
 1. position gather for the whole batch (cached per item),
@@ -14,14 +14,13 @@ window's distinct untracked items:
 
 Stage 2 is unchanged (it touches only the few tracked/promoted items).
 
-Semantics vs :class:`BatchedXSketch`: the whole window batch is counted
-*before* any query, so every item's estimate sees the complete window
-even under intra-window counter collisions (batched mode interleaves
-per-item insert/query during the flush and earlier items miss later
-colliding contributions).  Under no collisions all engines agree, and
-the exact-oracle equivalence property holds here too
-(``tests/test_core/test_vectorized.py``).  The CU rule uses the tower's
-order-independent bulk approximation (see
+The whole window batch is counted *before* any query, so every item's
+estimate sees the complete window even under intra-window counter
+collisions.  Under no collisions it agrees with the per-arrival
+engine, and the exact-oracle equivalence property holds here too
+(``tests/test_core/test_vectorized.py``); under collisions both are
+scored against the oracle (``tests/test_engine_accuracy.py``).  The CU
+rule uses the tower's order-independent bulk approximation (see
 :meth:`repro.sketch.vectorized_tower.VectorizedTower.bulk_insert`).
 """
 
@@ -108,10 +107,10 @@ class VectorizedXSketch:
     def ingest_counts(self, counts: Mapping[ItemId, int]) -> None:
         """Buffer (key, count) pairs (the runtime/service hot path).
 
-        Same contract as :meth:`BatchedXSketch.ingest_counts
-        <repro.core.batched.BatchedXSketch.ingest_counts>`: keys keep
-        their first-arrival order in the buffer, which fixes the order
-        :meth:`end_window` walks it in.
+        Keys keep their first-arrival order in the buffer, which fixes
+        the order :meth:`end_window` walks it in, so feeding a stream's
+        first-arrival-ordered counts in any chunking leaves the buffer
+        exactly as feeding its arrivals one at a time.
         """
         buffer = self._buffer
         get = buffer.get

@@ -8,7 +8,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import XSketchConfig
 from repro.core.baseline import BaselineConfig, BaselineSolution
-from repro.core.batched import BatchedXSketch
 from repro.core.oracle import SimplexOracle
 from repro.errors import ConfigurationError
 from repro.fitting.simplex import SimplexTask
@@ -17,7 +16,7 @@ from repro.metrics.error import lasting_time_are
 from repro.streams.model import Trace
 
 #: Algorithm names accepted by :func:`make_algorithm`.
-ALGORITHMS = ("xs-cm", "xs-cu", "xs-batched", "xs-vectorized", "baseline")
+ALGORITHMS = ("xs-cm", "xs-cu", "xs-vectorized", "baseline")
 
 
 def make_algorithm(
@@ -48,12 +47,11 @@ def make_algorithm(
     returned coordinator when using the process backend.
 
     ``engine`` selects the ingest representation for ``xs-cm`` /
-    ``xs-cu`` (``"xsketch"``, ``"batched"`` or ``"vectorized"``;
+    ``xs-cu`` (``"xsketch"`` or ``"vectorized"``;
     :mod:`repro.core.engines`), single-process or sharded.  The
-    ``xs-batched`` / ``xs-vectorized`` names are CU-rule shorthands that
-    already pin the engine, so pairing them (or ``baseline``) with a
-    non-default ``engine`` is a configuration error, not a silent
-    ignore.
+    ``xs-vectorized`` name is a CU-rule shorthand that already pins the
+    engine, so pairing it (or ``baseline``) with a non-default
+    ``engine`` is a configuration error, not a silent ignore.
 
     ``observability=True`` attaches a live ``repro.obs`` recorder
     (registry + trace ring) to the X-Sketch variants that support one
@@ -112,12 +110,6 @@ def make_algorithm(
             stage1_structure=stage1_structure, **overrides,
         )
         return make_engine(config, seed=seed, engine=engine, recorder=_recorder())
-    if name == "xs-batched":
-        config = XSketchConfig(
-            task=task, memory_kb=memory_kb, update_rule="cu",
-            stage1_structure=stage1_structure, **overrides,
-        )
-        return BatchedXSketch(config, seed=seed, recorder=_recorder())
     if name == "xs-vectorized":
         from repro.core.vectorized import VectorizedXSketch
 

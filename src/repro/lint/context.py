@@ -4,7 +4,7 @@ Rules never touch the filesystem themselves: single-module rules get a
 :class:`ModuleInfo` (path, dotted module name, AST, source lines), and
 cross-file rules additionally read the :class:`ProjectContext` built
 after every module has been parsed (project-wide class table for
-inheritance resolution, the observability doc for metric-name checks).
+inheritance resolution, the observability doc for metric-surface checks).
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Contract family: the metric surface, cross-file.
 
-The per-file ``metric-name`` rule checks instrument registrations whose
-name is a string literal at the call site.  This family widens that to
-the project view the per-file rule cannot have:
+The metrics registry (``repro.obs.registry``) rejects names that do not
+match the Prometheus identifier grammar, but only at runtime, on a code
+path a unit test may never exercise; and a metric missing from
+``docs/OBSERVABILITY.md`` is invisible to whoever builds dashboards
+from that doc.  This family moves both checks to lint time, project-wide:
 
-- **constant-resolved names** — ``registry.counter(PHASE_METRIC, ...)``
-  resolves through module-level constants and ``from X import NAME``
-  chains; the resolved name must satisfy the Prometheus grammar and be
-  documented (literal-name sites stay with ``metric-name`` so no site
-  is reported twice);
+- **names** — every instrument registration whose name is a string
+  literal or resolves through module-level constants and ``from X
+  import NAME`` chains (``registry.counter(PHASE_METRIC, ...)``) must
+  satisfy the registry's own grammar and be documented;
 - **kind consistency** — one name registered as two different
   instrument kinds anywhere in src is a merge-time type clash
   (registries add counter-to-counter; a counter/gauge split corrupts
@@ -22,26 +23,23 @@ the project view the per-file rule cannot have:
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Tuple
 
 from repro.lint.context import ModuleInfo
 from repro.lint.contracts.base import ContractRule
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph.index import ProjectIndex
-from repro.lint.graph.sites import call_tail, literal_string
+from repro.lint.graph.sites import call_tail
 from repro.lint.registry import register
-
-#: mirror of repro.obs.registry._NAME_RE (Prometheus metric grammar)
-_PROM_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+from repro.obs.registry import METRIC_NAME_RE
 
 _INSTRUMENT_KINDS = ("counter", "gauge", "histogram")
 
 _DOC_PATH = "docs/OBSERVABILITY.md"
 _DOC_ANCHOR = "repro.obs.collect"
 
-#: (kind, info, node, name_was_literal)
-Site = Tuple[str, ModuleInfo, ast.AST, bool]
+#: (kind, info, node)
+Site = Tuple[str, ModuleInfo, ast.AST]
 
 
 @register
@@ -51,8 +49,10 @@ class MetricSurfaceRule(ContractRule):
     id = "metric-surface"
     severity = Severity.ERROR
     rationale = (
-        "metric names that reach the registry through constants must "
-        "still be Prometheus-valid and documented, one name must map "
+        "metric names, literal or reaching the registry through "
+        "constants, must be Prometheus-valid (the registry raises "
+        "otherwise, but only at runtime) and documented in "
+        "docs/OBSERVABILITY.md, one name must map "
         "to one instrument kind project-wide (registries merge "
         "additively by kind), and every documented catalog row must "
         "correspond to a metric src actually emits"
@@ -79,47 +79,38 @@ class MetricSurfaceRule(ContractRule):
                             name_node = keyword.value
                 if name_node is None:
                     continue
-                literal = literal_string(name_node)
-                name = (
-                    literal
-                    if literal is not None
-                    else index.resolve_string(info.module, name_node)
-                )
+                name = index.resolve_string(info.module, name_node)
                 if name is None:
                     # dynamically-named instruments (merge/restore
                     # paths, f-strings) are out of static reach
                     continue
-                sites_by_name.setdefault(name, []).append(
-                    (kind, info, node, literal is not None)
-                )
+                sites_by_name.setdefault(name, []).append((kind, info, node))
 
         doc = self.project.doc_text(_DOC_PATH)
         for name in sorted(sites_by_name):
-            for kind, info, node, was_literal in sites_by_name[name]:
-                if was_literal:
-                    continue  # metric-name already covers literal sites
-                if not _PROM_NAME_RE.match(name):
+            for _kind, info, node in sites_by_name[name]:
+                if not METRIC_NAME_RE.match(name):
                     yield self.site(
                         info,
                         node,
-                        f"metric name {name!r} (resolved from a "
-                        f"constant) is not a valid Prometheus "
-                        f"identifier ([a-zA-Z_:][a-zA-Z0-9_:]*)",
+                        f"metric name {name!r} is not a valid Prometheus "
+                        f"identifier ([a-zA-Z_:][a-zA-Z0-9_:]*); the "
+                        f"registry will reject it at runtime",
                     )
                 elif doc is not None and f"`{name}`" not in doc and name not in doc:
                     yield self.site(
                         info,
                         node,
-                        f"metric {name!r} (resolved from a constant) "
-                        f"is not documented in {_DOC_PATH}",
+                        f"metric {name!r} is not documented in {_DOC_PATH}; "
+                        f"add a row to the metric table there",
                     )
 
         for name in sorted(sites_by_name):
             sites = sites_by_name[name]
-            kinds = sorted({kind for kind, _, _, _ in sites})
+            kinds = sorted({kind for kind, _, _ in sites})
             if len(kinds) > 1:
                 label = "/".join(kinds)
-                for _kind, info, node, _lit in sites:
+                for _kind, info, node in sites:
                     yield self.site(
                         info,
                         node,
@@ -153,5 +144,5 @@ def _doc_metric_rows(doc: str) -> Iterator[Tuple[int, str]]:
         if len(cells) < 2 or cells[1].strip("`") not in _INSTRUMENT_KINDS:
             continue
         name = cells[0].strip("`").partition("{")[0]
-        if name and _PROM_NAME_RE.match(name):
+        if name and METRIC_NAME_RE.match(name):
             yield lineno, name

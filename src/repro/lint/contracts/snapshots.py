@@ -2,16 +2,18 @@
 
 A new engine is four edits in four files: ``ENGINE_NAMES`` (the public
 surface), a construction arm in ``make_engine``/``validate_engine``, a
-``_VARIANTS`` save tag in the serializer, and a restore arm keyed by
-the same variant string — with ``VARIANT_TO_ENGINE`` tying variants
-back to engines.  Any edit forgotten leaves a checkpoint that cannot be
-restored, or a selectable engine that cannot be built.  This family
-closes the loop statically:
+``_VARIANTS`` save tag in the serializer, and a ``VARIANT_TO_ENGINE``
+entry tying the tag back to the engine that restores it.  Any edit
+forgotten leaves a checkpoint that cannot be restored, or a selectable
+engine that cannot be built.  This family closes the loop statically:
 
 - every ``ENGINE_NAMES`` entry has a ``VARIANT_TO_ENGINE`` mapping and
   a literal construction arm, and every arm names a real engine;
-- every variant has a serializer save tag and a ``restore_*`` arm, and
-  every save tag / restore arm names a real variant;
+- every engine has at least one variant with a serializer save tag (a
+  variant without one is a restore-only alias that keeps old snapshots
+  loading), and every save tag names a real variant;
+- where a ``restore_*`` function matches variants literally, every
+  variant has an arm and every arm names a real variant;
 - per module, checkpoint ``manifest`` dict keys written by the save
   path are exactly the keys the restore path reads back.
 """
@@ -121,13 +123,18 @@ class SnapshotVariantRule(ContractRule):
             if save_tags is not None:
                 sinfo, snode, sconst = save_tags
                 tags = set(sconst.string_values())
-                for variant in variants:
-                    if variant not in tags:
+                variants_of = {}
+                for variant, engine in zip(vconst.keys, vconst.values):
+                    if variant is not None and engine is not None:
+                        variants_of.setdefault(engine, []).append(variant)
+                for engine, mapped in sorted(variants_of.items()):
+                    if not tags.intersection(mapped):
                         yield self.site(
-                            vinfo,
-                            vnode,
-                            f"variant {variant!r} has no serializer "
-                            f"save tag in {_SAVE_TAGS_CONST}",
+                            sinfo,
+                            snode,
+                            f"engine {engine!r} has no variant with a "
+                            f"serializer save tag in {_SAVE_TAGS_CONST} "
+                            f"(its variants {sorted(mapped)} only restore)",
                         )
                 for tag in sorted(tags):
                     if tag not in variants:

@@ -4,7 +4,7 @@ Running a lint is two passes over the selected files:
 
 1. **Parse pass** — every file is parsed and registered with the
    :class:`~repro.lint.context.ProjectContext`, so cross-file rules
-   (mergeable-protocol's inheritance walk, metric-name's doc check)
+   (mergeable-protocol's inheritance walk, metric-surface's doc check)
    see the whole project regardless of rule order.
 2. **Check pass** — each enabled rule visits each module; findings are
    filtered through same-line ``# lint: ignore[rule-id]`` suppressions

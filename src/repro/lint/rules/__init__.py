@@ -7,7 +7,6 @@ from repro.lint.rules import (  # noqa: F401
     exceptions,
     hotpath,
     hygiene,
-    obsdoc,
     protocol,
     tracing,
 )

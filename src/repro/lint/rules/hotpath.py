@@ -23,8 +23,6 @@ _HOT_PACKAGES = ("repro.sketch", "repro.core")
 #: per stream item (or once per item inside their batch loops)
 _HOT_FUNCTIONS: Set[str] = {
     "insert",
-    "insert_batch",
-    "insert_count",
     "record_arrival",
     "bulk_insert",
 }

@@ -8,9 +8,9 @@ the runtime to single-shard operation the day someone swaps it in.
 
 The rule covers both the counting substrate (``repro.sketch``) and the
 engines built on it (``repro.core``), and recognizes the batched update
-and query spellings (``bulk_insert`` / ``insert_batch``,
-``query_recent`` / ``query_slot``) -- the vectorized tower's whole API
--- not just the scalar ``insert`` / ``query`` pair.
+and query spellings (``bulk_insert``, ``query_recent`` /
+``query_slot``) -- the vectorized tower's whole API -- not just the
+scalar ``insert`` / ``query`` pair.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.registry import register
 from repro.lint.rules.base import Rule
 
-_UPDATE_METHODS = {"insert", "update", "insert_batch", "bulk_insert"}
+_UPDATE_METHODS = {"insert", "update", "bulk_insert"}
 _QUERY_METHODS = {"query", "query_recent", "query_slot"}
 _ABSTRACT_DECORATORS = {"abstractmethod", "abc.abstractmethod"}
 

@@ -81,18 +81,6 @@ class PhaseProfiler:
             self.observe(name, time.perf_counter() - start)
 
 
-def _estimate_quantile(histogram: Histogram, q: float) -> float:
-    """Nearest-bucket-bound quantile estimate from cumulative counts."""
-    if histogram.count == 0:
-        return 0.0
-    rank = q * histogram.count
-    cumulative = histogram.cumulative()
-    for bound, count in zip(histogram.bounds, cumulative):
-        if count >= rank:
-            return bound
-    return float("inf")
-
-
 def phase_rows(registry: MetricsRegistry) -> List[dict]:
     """Phase breakdown rows from a (merged) registry, sorted by total
     time descending: ``{phase, count, total, mean, p50, p99}``."""
@@ -102,19 +90,22 @@ def phase_rows(registry: MetricsRegistry) -> List[dict]:
             continue
         labels = dict(instrument.labels)
         count = instrument.count
+        cumulative = list(zip(instrument.bounds, instrument.cumulative()))
         rows.append({
             "phase": labels.get("phase", "?"),
             "count": count,
             "total": round(instrument.sum, 6),
             "mean": round(instrument.sum / count, 6) if count else 0.0,
-            "p50": _estimate_quantile(instrument, 0.50),
-            "p99": _estimate_quantile(instrument, 0.99),
+            "p50": _quantile_from_cumulative(count, cumulative, 0.50),
+            "p99": _quantile_from_cumulative(count, cumulative, 0.99),
         })
     rows.sort(key=lambda row: row["total"], reverse=True)
     return rows
 
 
 def _quantile_from_cumulative(count: float, cumulative, q: float) -> float:
+    """Nearest-bucket-bound quantile estimate from ``(bound, cumulative
+    count)`` pairs; past the last finite bound it reads ``inf``."""
     if count == 0:
         return 0.0
     rank = q * count

@@ -2,7 +2,7 @@
 
 Instrumented components take a ``recorder`` at construction and ask it
 for instruments (:meth:`counter` / :meth:`gauge` / :meth:`histogram`)
-and for event/span recording.  Two implementations exist:
+and for event recording.  Two implementations exist:
 
 * :data:`NULL_RECORDER` (the default everywhere): hands out no-op
   instruments and ignores events.  Components additionally gate their
@@ -12,21 +12,15 @@ and for event/span recording.  Two implementations exist:
 * :class:`Recorder`: backed by a :class:`~repro.obs.registry.MetricsRegistry`
   and optionally a :class:`~repro.obs.trace.TraceRing`.
 
-``span(name)`` times a block into a ``<name>_seconds`` histogram and
-records begin/duration in the trace ring — used around window closes
-and other coarse phases, never per arrival.
+Coarse phases are timed by :class:`repro.obs.profile.PhaseProfiler`
+(``pipeline_phase_seconds``) and traced by :mod:`repro.obs.spans`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    DURATION_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.trace import TraceRing
 
 
@@ -45,18 +39,7 @@ class _NullInstrument:
         pass
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
 _NULL_INSTRUMENT = _NullInstrument()
-_NULL_SPAN = _NullSpan()
 
 
 class NullRecorder:
@@ -78,42 +61,9 @@ class NullRecorder:
     def event(self, kind: str, **fields) -> None:
         pass
 
-    def span(self, name: str, **fields):
-        return _NULL_SPAN
-
 
 #: Shared no-op recorder; components default to this.
 NULL_RECORDER = NullRecorder()
-
-
-class _Span:
-    """Times one block into ``<name>_seconds`` + a trace event."""
-
-    __slots__ = ("_recorder", "_name", "_fields", "_start")
-
-    def __init__(self, recorder: "Recorder", name: str, fields: dict):
-        self._recorder = recorder
-        self._name = name
-        self._fields = fields
-        self._start = 0.0
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        duration = time.perf_counter() - self._start
-        recorder = self._recorder
-        recorder.registry.histogram(
-            f"{self._name}_seconds", f"duration of {self._name}",
-            buckets=DURATION_BUCKETS,
-        ).observe(duration)
-        if recorder.trace is not None:
-            recorder.trace.record(
-                "span", name=self._name, seconds=round(duration, 6),
-                error=exc_type.__name__ if exc_type else None, **self._fields,
-            )
-        return False
 
 
 class Recorder(NullRecorder):
@@ -148,6 +98,3 @@ class Recorder(NullRecorder):
     def event(self, kind: str, **fields) -> None:
         if self.trace is not None:
             self.trace.record(kind, **fields)
-
-    def span(self, name: str, **fields):
-        return _Span(self, name, fields)

@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigurationError, MergeError
 
 #: Prometheus metric-name grammar.
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 #: Prometheus label-name grammar (no colons, unlike metric names).
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -42,7 +42,7 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: Default histogram bounds: log-ish spread covering counts and ratios.
 DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
 
-#: Bounds for duration histograms (seconds), used by recorder spans.
+#: Bounds for duration histograms (seconds), used by the phase profiler.
 DURATION_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
@@ -52,7 +52,7 @@ Number = Union[int, float]
 
 
 def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
+    if not METRIC_NAME_RE.match(name):
         raise ConfigurationError(f"invalid metric name {name!r}")
     return name
 

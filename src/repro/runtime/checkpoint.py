@@ -24,6 +24,7 @@ import json
 from pathlib import Path
 from typing import Union
 
+from repro.core.engines import VARIANT_TO_ENGINE
 from repro.core.reports import report_from_dict
 from repro.core.xsketch import report_order
 from repro.errors import ConfigurationError
@@ -82,7 +83,9 @@ def load_sharded_checkpoint(
     ``backend`` and extra keyword arguments (``mp_context``,
     ``batch_size``, ...) configure the new runtime; sketch state, the
     window counter, routing counters and the report stream come from
-    the checkpoint.
+    the checkpoint.  A manifest naming the deleted ``batched`` engine
+    maps through :data:`~repro.core.engines.VARIANT_TO_ENGINE` and
+    restores as vectorized, like its shard snapshots.
     """
     from repro.fitting.simplex import SimplexTask
     from repro.config import XSketchConfig
@@ -106,13 +109,14 @@ def load_sharded_checkpoint(
     task = SimplexTask(**snapshots[0]["task"])
     config = XSketchConfig(task=task, **snapshots[0]["config"])
     partitioner = KeyPartitioner.from_spec(manifest["partitioner"])
+    engine = manifest.get("engine", "xsketch")
     sharded = ShardedXSketch(
         config,
         n_shards=manifest["n_shards"],
         seed=manifest["seed"],
         backend=backend,
         snapshots=snapshots,
-        engine=manifest.get("engine", "xsketch"),
+        engine=VARIANT_TO_ENGINE.get(engine, engine),
         **kwargs,
     )
     sharded.partitioner = partitioner

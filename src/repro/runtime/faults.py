@@ -70,7 +70,7 @@ KILL_POINTS = ("ingest", "end_window", "checkpoint")
 FAULT_OPS = ("ingest", "end_window", "stats", "metrics", "trace", "checkpoint", "stop")
 
 #: Worker commands that carry arrivals: ordered item batches for the
-#: per-arrival engine, (key, count) batches for the buffered engines.
+#: per-arrival engine, (key, count) batches for the vectorized engine.
 #: A fault addressed to ``"ingest"`` fires on either.
 INGEST_OPS = ("ingest", "ingest_counts")
 

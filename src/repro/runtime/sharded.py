@@ -6,7 +6,7 @@ sub-batches out to worker processes (``backend="process"``, the
 default) or to in-process sketches (``backend="inline"``, used for
 deterministic tests and as a zero-dependency fallback).  Both backends
 run byte-identical sketch code, so they produce identical reports.
-With the buffered engines a batch is first collapsed into (key, count)
+With the vectorized engine a batch is first collapsed into (key, count)
 pairs, so routing and the temporal store pay per distinct key, and a
 shard's sub-batch is a count mapping; the per-arrival engine gets its
 arrivals in order.
@@ -181,10 +181,9 @@ class ShardedXSketch:
         faults: deterministic fault plan (:mod:`repro.runtime.faults`)
             handed to the initial worker processes; replacements are
             always spawned fault-free.  Process backend only.
-        engine: ingest representation per shard (``"xsketch"``,
-            ``"batched"`` or ``"vectorized"``; see
-            :mod:`repro.core.engines` and the engine-selection matrix in
-            docs/RUNTIME.md).  All shards run the same engine; restarts
+        engine: ingest representation per shard (``"xsketch"`` or
+            ``"vectorized"``; see :mod:`repro.core.engines` and the
+            engine-selection table in docs/RUNTIME.md).  All shards run the same engine; restarts
             restore the engine recorded in the shard snapshot.
         temporal: a :class:`repro.temporal.store.TemporalStore` to feed
             with the window lifecycle: every dispatched arrival goes to
@@ -952,9 +951,9 @@ class ShardedXSketch:
         """Compact all shards into one single-process sketch.
 
         The result's class matches the runtime's ``engine`` (an
-        :class:`XSketch`, :class:`~repro.core.batched.BatchedXSketch`
-        or :class:`~repro.core.vectorized.VectorizedXSketch` -- each
-        implements the same ``merge()`` protocol).
+        :class:`XSketch` or a
+        :class:`~repro.core.vectorized.VectorizedXSketch` -- both
+        implement the same ``merge()`` protocol).
 
         Shard states are folded together at the current window boundary
         (Stage 1 counter-wise, Stage 2 by weight election).  The inline

@@ -23,7 +23,7 @@ Command protocol (tuples on ``command_queue``; replies on the worker's
     per-arrival engine).  No reply (pipelined).
 ``("ingest_counts", counts)``
     Add a ``{key: count}`` mapping, in its key order, to the current
-    window (the buffered engines' ``ingest_counts``).  No reply.
+    window (the vectorized engine's ``ingest_counts``).  No reply.
 ``("end_window",)`` / ``("end_window", span_ctx)``
     Close the window; replies ``("end_window", shard, reports)``.  With
     a span context dict (the coordinator's wire

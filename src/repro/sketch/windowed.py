@@ -43,15 +43,6 @@ class WindowedFilter(abc.ABC):
     def insert(self, item: ItemId, slot: int) -> None:
         """Record one arrival of ``item`` in window slot ``slot``."""
 
-    def insert_count(self, item: ItemId, slot: int, count: int) -> None:
-        """Record ``count`` arrivals at once (window-batched mode).
-
-        The default loops over :meth:`insert`; structures with a cheaper
-        bulk update override it.  Equivalent to ``count`` single inserts.
-        """
-        for _ in range(count):
-            self.insert(item, slot)
-
     @abc.abstractmethod
     def query_slot(self, item: ItemId, slot: int) -> int:
         """Estimated frequency of ``item`` in window slot ``slot``."""
@@ -216,44 +207,6 @@ class _WindowedArrays(WindowedFilter):
                 if value + 1 >= level.max_value and self._obs is not None:
                     self._c_overflow.inc()
                 level.increment(index, 1)
-
-    def insert_count(self, item: ItemId, slot: int, count: int) -> None:
-        if count <= 0:
-            return
-        positions = self._positions(item)
-        s = self.s
-        if self.update_rule == "cm":
-            if self._obs is not None:
-                for level, pos in zip(self.levels, positions):
-                    index = pos * s + slot
-                    before = level.values[index]
-                    level.increment(index, count)
-                    if before != level.max_value and level.values[index] == level.max_value:
-                        self._c_overflow.inc()
-                return
-            for level, pos in zip(self.levels, positions):
-                level.increment(pos * s + slot, count)
-            return
-        # Bulk conservative update: raise the minimal unsaturated
-        # readings to min + count (equals `count` repeated CU inserts).
-        readings = []
-        minimum = None
-        for level, pos in zip(self.levels, positions):
-            index = pos * s + slot
-            value = level.values[index]
-            if value == level.max_value:
-                continue
-            readings.append((level, index, value))
-            if minimum is None or value < minimum:
-                minimum = value
-        if minimum is None:
-            return
-        target = minimum + count
-        for level, index, value in readings:
-            if value < target:
-                if target >= level.max_value and self._obs is not None:
-                    self._c_overflow.inc()
-                level.set(index, min(target, level.max_value))
 
     def query_slot(self, item: ItemId, slot: int) -> int:
         self._check_slot(slot)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import StreamGeometry, XSketchConfig
 from repro.core.baseline import BaselineConfig, BaselineSolution
-from repro.core.batched import BatchedXSketch
 from repro.core.oracle import SimplexOracle
 from repro.core.xsketch import XSketch
 from repro.fitting.simplex import SimplexTask
@@ -22,7 +21,6 @@ def _all_algorithms(task, memory_kb=20.0, seed=3):
 
     return [
         XSketch(XSketchConfig(task=task, memory_kb=memory_kb), seed=seed),
-        BatchedXSketch(XSketchConfig(task=task, memory_kb=memory_kb), seed=seed),
         VectorizedXSketch(XSketchConfig(task=task, memory_kb=memory_kb), seed=seed),
         BaselineSolution(BaselineConfig(task=task, memory_kb=memory_kb), seed=seed),
     ]

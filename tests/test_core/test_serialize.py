@@ -89,35 +89,41 @@ class TestSnapshotRoundtrip:
             restore_xsketch(snapshot, seed=9)
 
 
-class TestBatchedSnapshot:
-    def _batched(self, seed=9):
-        from repro.core.batched import BatchedXSketch
+class TestLegacyBatchedSnapshot:
+    """The deleted dict-batched engine wrote ``variant="batched"``
+    snapshots with the vectorized engine's geometry; they restore as
+    vectorized.  Built by re-tagging vectorized snapshots."""
 
-        config = XSketchConfig(task=SimplexTask.paper_default(1), memory_kb=20.0)
-        return BatchedXSketch(config, seed=seed)
+    @pytest.mark.parametrize("memory_kb", [8.0, 60.0])
+    def test_continues_as_vectorized(self, memory_kb):
+        from repro.core.vectorized import VectorizedXSketch
 
-    def test_batched_roundtrip_continues_identically(self):
-        trace = make_dataset("ip_trace", n_windows=20, window_size=500, seed=4)
-        windows = list(trace.windows())
-        uninterrupted = self._batched()
-        for window in windows:
-            uninterrupted.run_window(window)
-        half = self._batched()
+        config = XSketchConfig(task=SimplexTask.paper_default(1), memory_kb=memory_kb)
+        windows = list(make_dataset("ip_trace", n_windows=20, window_size=500, seed=4).windows())
+        uninterrupted = VectorizedXSketch(config, seed=9)
+        half = VectorizedXSketch(config, seed=9)
         for window in windows[:10]:
+            uninterrupted.run_window(window)
             half.run_window(window)
-        resumed = restore_xsketch(snapshot_xsketch(half), seed=9)
-        assert type(resumed).__name__ == "BatchedXSketch"
+        snapshot = snapshot_xsketch(half)
+        resumed = restore_xsketch(dict(snapshot, variant="batched"), seed=9)
+        assert type(resumed) is VectorizedXSketch
+        assert snapshot_xsketch(resumed) == snapshot
         for window in windows[10:]:
+            uninterrupted.run_window(window)
             resumed.run_window(window)
-        assert [r.instance for r in resumed.reports] == [
-            r.instance for r in uninterrupted.reports
-        ]
+        assert resumed.reports == uninterrupted.reports
 
-    def test_mid_window_snapshot_rejected(self):
-        sketch = self._batched()
-        sketch.insert("x")  # buffer non-empty
-        with pytest.raises(ConfigurationError):
-            snapshot_xsketch(sketch)
+    def test_cold_stage1_raises_one_line_error(self):
+        snapshot = snapshot_xsketch(_fresh(structure="cold"))
+        with pytest.raises(ConfigurationError, match="tower Stage 1 only") as error:
+            restore_xsketch(dict(snapshot, variant="batched"), seed=9)
+        assert "\n" not in str(error.value)
+
+    def test_unknown_variant_rejected(self):
+        snapshot = snapshot_xsketch(_fresh())
+        with pytest.raises(ConfigurationError, match="unknown snapshot variant 'turbo'"):
+            restore_xsketch(dict(snapshot, variant="turbo"), seed=9)
 
 
 class TestVectorizedSnapshot:

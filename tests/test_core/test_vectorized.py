@@ -296,15 +296,10 @@ class TestDegenerateBatches:
         assert sketch.window == 11
 
     def test_empty_windows_match_scalar_engines(self):
-        from repro.core.batched import BatchedXSketch
         from repro.core.xsketch import XSketch
 
         config = XSketchConfig(task=SimplexTask.paper_default(1), memory_kb=40.0)
-        engines = [
-            XSketch(config, seed=7),
-            BatchedXSketch(config, seed=7),
-            self._sketch(),
-        ]
+        engines = [XSketch(config, seed=7), self._sketch()]
         for engine in engines:
             for _ in range(8):
                 engine.run_window([])

@@ -21,7 +21,7 @@ API_EXPORTS = {
         "SimplexReport", "PolynomialFit", "fit_polynomial",
     ],
     "repro.core": [
-        "XSketch", "BatchedXSketch", "VectorizedXSketch", "MultiKXSketch",
+        "XSketch", "VectorizedXSketch", "MultiKXSketch",
         "MultiKConfig", "Stage1", "Stage2", "Stage2Cell", "Promotion",
         "snapshot_xsketch", "restore_xsketch", "save_xsketch", "load_xsketch",
     ],

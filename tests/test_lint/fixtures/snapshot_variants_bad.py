@@ -1,12 +1,12 @@
 """Engine/variant/manifest loop left open (lint fixture)."""
 
-ENGINE_NAMES = ("alpha", "beta")  # EXPECT: snapshot-variants
-VARIANT_TO_ENGINE = {"fast": "alpha", "slow": "ghost"}  # EXPECT: snapshot-variants
-_VARIANTS = {"FastSketch": "fast", "SlowSketch": "slow"}
+ENGINE_NAMES = ("alpha", "beta", "gamma")  # EXPECT: snapshot-variants
+VARIANT_TO_ENGINE = {"fast": "alpha", "slow": "ghost", "plain": "gamma"}  # EXPECT: snapshot-variants
+_VARIANTS = {"FastSketch": "fast", "SlowSketch": "slow"}  # EXPECT: snapshot-variants
 
 
 def make_engine(engine, config):
-    if engine == "alpha":
+    if engine in ("alpha", "gamma"):
         return object()
     if engine == "ghost":  # EXPECT: snapshot-variants
         return object()

@@ -1,7 +1,7 @@
 """Engines, variants, arms and manifest keys all closed."""
 
 ENGINE_NAMES = ("alpha",)
-VARIANT_TO_ENGINE = {"fast": "alpha"}
+VARIANT_TO_ENGINE = {"fast": "alpha", "legacy": "alpha"}  # restore-only alias
 _VARIANTS = {"FastSketch": "fast"}
 
 
@@ -12,9 +12,9 @@ def make_engine(engine, config):
 
 
 def restore_example(variant, record):
-    if variant == "fast":
-        return record
-    raise ValueError(variant)
+    if variant not in VARIANT_TO_ENGINE:
+        raise ValueError(variant)
+    return make_engine(VARIANT_TO_ENGINE[variant], record)
 
 
 def save_example(path, state):

@@ -2,7 +2,8 @@
 
 Each rule has a ``fixtures/<rule>_bad.py`` whose violations are marked
 in-line with ``# EXPECT: <rule-id>`` comments, and a
-``fixtures/<rule>_good.py`` that must lint clean.  The tests compare
+``fixtures/<rule>_good.py`` that must lint clean; a rule may own further
+pairs, named by case in ``EXTRA_FIXTURES``.  The tests compare
 the *exact* ``(line, rule)`` set against the markers, so a rule that
 fires on the wrong line — or stops firing — fails loudly.
 
@@ -35,7 +36,6 @@ MODULE_FOR_RULE = {
     "wall-clock": "repro.core.example",
     "unseeded-rng": "repro.streams.example",
     "mergeable-protocol": "repro.sketch.example",
-    "metric-name": "repro.obs.example",
     "mutable-default": "repro.service.example",
     "assert-stmt": "repro.core.example",
     "hot-loop-alloc": "repro.sketch.example",
@@ -51,6 +51,15 @@ MODULE_FOR_RULE = {
 }
 
 ALL_RULES = sorted(MODULE_FOR_RULE)
+
+#: extra fixture pairs, ``fixtures/<case>_bad.py``/``_good.py``: case ->
+#: the rule that lints them.  ``metric-name`` holds the literal-name
+#: sites ``metric-surface`` checks beside its constant-resolved ones.
+EXTRA_FIXTURES = {"metric-name": "metric-surface"}
+
+#: case -> rule, one case per rule plus the extra pairs.
+RULE_FOR_CASE = {**{rule_id: rule_id for rule_id in ALL_RULES}, **EXTRA_FIXTURES}
+ALL_CASES = sorted(RULE_FOR_CASE)
 
 
 def _expected_markers(source: str) -> Set[Tuple[int, str]]:
@@ -93,9 +102,10 @@ def test_fixtures_are_excluded_from_default_runs():
     )
 
 
-@pytest.mark.parametrize("rule_id", ALL_RULES)
-def test_bad_fixture_findings_match_markers_exactly(rule_id):
-    stem = rule_id.replace("-", "_")
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_bad_fixture_findings_match_markers_exactly(case):
+    rule_id = RULE_FOR_CASE[case]
+    stem = case.replace("-", "_")
     source, findings = _lint_fixture(f"{stem}_bad", rule_id)
     expected = _expected_markers(source)
     assert expected, f"{stem}_bad.py declares no EXPECT markers"
@@ -104,17 +114,18 @@ def test_bad_fixture_findings_match_markers_exactly(rule_id):
     assert all(finding.rule == rule_id for finding in findings)
 
 
-@pytest.mark.parametrize("rule_id", ALL_RULES)
-def test_good_fixture_is_clean(rule_id):
-    stem = rule_id.replace("-", "_")
-    source, findings = _lint_fixture(f"{stem}_good", rule_id)
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_good_fixture_is_clean(case):
+    stem = case.replace("-", "_")
+    source, findings = _lint_fixture(f"{stem}_good", RULE_FOR_CASE[case])
     assert not _expected_markers(source), "good fixtures carry no markers"
     assert findings == []
 
 
-@pytest.mark.parametrize("rule_id", ALL_RULES)
-def test_findings_carry_addressable_positions(rule_id):
-    stem = rule_id.replace("-", "_")
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_findings_carry_addressable_positions(case):
+    rule_id = RULE_FOR_CASE[case]
+    stem = case.replace("-", "_")
     _, findings = _lint_fixture(f"{stem}_bad", rule_id)
     for finding in findings:
         assert finding.line >= 1

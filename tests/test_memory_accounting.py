@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.config import XSketchConfig
 from repro.core.baseline import BaselineConfig, BaselineSolution
-from repro.core.batched import BatchedXSketch
 from repro.core.vectorized import VectorizedXSketch
 from repro.core.xsketch import XSketch
 from repro.fitting.simplex import SimplexTask
@@ -76,7 +75,7 @@ class TestAlgorithmBudgets:
         # one bucket of rounding slack: stage2_buckets floors, but tiny
         # budgets guarantee the minimum single bucket
         slack = config.u * config.stage2_cell_bytes
-        for engine in (XSketch, BatchedXSketch, VectorizedXSketch):
+        for engine in (XSketch, VectorizedXSketch):
             sketch = engine(config, seed=1)
             assert sketch.memory_bytes <= memory_kb * 1024 + slack
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import XSketchConfig
-from repro.core.batched import BatchedXSketch
+from repro.core.vectorized import VectorizedXSketch
 from repro.core.xsketch import XSketch
 from repro.fitting.simplex import SimplexTask
 from repro.obs import MetricsRegistry, Recorder, TraceRing, collect_xsketch
@@ -37,11 +37,11 @@ class TestBehaviourNeutrality:
         assert observed.reports == plain.reports
         assert observed.stats == plain.stats
 
-    def test_batched_variant_too(self):
+    def test_vectorized_variant_too(self):
         windows = _windows(n=10)
-        plain = _run(BatchedXSketch(_config(), seed=7), windows)
+        plain = _run(VectorizedXSketch(_config(), seed=7), windows)
         observed = _run(
-            BatchedXSketch(_config(), seed=7, recorder=Recorder(trace=TraceRing())),
+            VectorizedXSketch(_config(), seed=7, recorder=Recorder(trace=TraceRing())),
             windows,
         )
         assert observed.reports == plain.reports
@@ -164,8 +164,6 @@ class TestTowerOverflow:
 
 class TestVectorizedCacheMetrics:
     def test_cache_counters_exported(self):
-        from repro.core.vectorized import VectorizedXSketch
-
         sketch = VectorizedXSketch(_config(), seed=7)
         for _ in range(3):
             sketch.run_window([f"i{j % 25}" for j in range(300)])

@@ -212,3 +212,21 @@ class TestExposition:
     def test_registry_render_text_matches_module(self):
         registry = self.build()
         assert registry.render_text() == render_text(registry)
+
+
+class TestPhaseRows:
+    def test_registry_and_scraped_samples_give_the_same_rows(self):
+        from repro.obs import PhaseProfiler, phase_rows
+        from repro.obs.profile import phase_rows_from_samples
+
+        registry = MetricsRegistry()
+        profiler = PhaseProfiler(registry)
+        for seconds in (0.002, 0.002, 0.002, 9.0):  # 9 s: past the last finite bucket
+            profiler.observe("merge", seconds)
+        for seconds in (0.0004, 0.03):
+            profiler.observe("window", seconds)
+        rows = phase_rows(registry)
+        assert [row["phase"] for row in rows] == ["merge", "window"]
+        assert rows[0]["p50"] == 0.0025
+        assert rows[0]["p99"] == float("inf")
+        assert rows == phase_rows_from_samples(parse_text(render_text(registry)))

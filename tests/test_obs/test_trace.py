@@ -2,9 +2,7 @@
 
 import json
 
-import pytest
-
-from repro.obs import NULL_RECORDER, MetricsRegistry, Recorder, TraceRing
+from repro.obs import NULL_RECORDER, Recorder, TraceRing
 from repro.obs.trace import write_jsonl
 
 
@@ -65,8 +63,6 @@ class TestNullRecorder:
         NULL_RECORDER.gauge("g").set(1)
         NULL_RECORDER.histogram("h").observe(0.5)
         NULL_RECORDER.event("kind", item="x")
-        with NULL_RECORDER.span("phase"):
-            pass
 
 
 class TestRecorder:
@@ -83,24 +79,3 @@ class TestRecorder:
         recorder = Recorder(trace=ring)
         recorder.event("kind", item="x")
         assert len(ring) == 1
-
-    def test_span_times_into_histogram_and_ring(self):
-        ring = TraceRing()
-        recorder = Recorder(MetricsRegistry(), trace=ring)
-        with recorder.span("flush", window=3):
-            pass
-        histogram = recorder.registry.get("flush_seconds")
-        assert histogram.count == 1
-        (event,) = ring.events("span")
-        assert event["name"] == "flush"
-        assert event["window"] == 3
-        assert event["error"] is None
-
-    def test_span_records_error_and_propagates(self):
-        ring = TraceRing()
-        recorder = Recorder(MetricsRegistry(), trace=ring)
-        with pytest.raises(RuntimeError, match="boom"):
-            with recorder.span("flush"):
-                raise RuntimeError("boom")
-        (event,) = ring.events("span")
-        assert event["error"] == "RuntimeError"

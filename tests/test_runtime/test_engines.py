@@ -1,7 +1,8 @@
-"""Engine selection in the sharded runtime: report identity across
-``engine="xsketch" | "batched" | "vectorized"``, checkpoint round-trips
-that preserve the engine, compaction classes, and supervised respawn
-continuing with the engine the shard crashed with."""
+"""Engine selection in the sharded runtime: ``engine="xsketch" |
+"vectorized"``, process/inline report identity, checkpoint round-trips
+that preserve the engine (and restore legacy ``batched`` checkpoints as
+vectorized), compaction classes, and supervised respawn continuing with
+the engine the shard crashed with."""
 
 from __future__ import annotations
 
@@ -77,11 +78,7 @@ class TestEngineValidation:
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_factory_builds_the_named_engine(self, engine):
-        expected = {
-            "xsketch": "XSketch",
-            "batched": "BatchedXSketch",
-            "vectorized": "VectorizedXSketch",
-        }[engine]
+        expected = {"xsketch": "XSketch", "vectorized": "VectorizedXSketch"}[engine]
         assert type(make_engine(_config(), engine=engine)).__name__ == expected
 
     def test_make_algorithm_threads_engine(self):
@@ -91,25 +88,15 @@ class TestEngineValidation:
         single = make_algorithm("xs-cu", task, 40.0, engine="vectorized")
         assert type(single).__name__ == "VectorizedXSketch"
         with pytest.raises(ConfigurationError, match="fixes its engine"):
-            make_algorithm("xs-batched", task, 40.0, engine="vectorized")
+            make_algorithm("xs-vectorized", task, 40.0, engine="vectorized")
         with pytest.raises(ConfigurationError, match="fixes its engine"):
-            make_algorithm("baseline", task, 40.0, engine="batched")
+            make_algorithm("baseline", task, 40.0, engine="vectorized")
+        with pytest.raises(ConfigurationError, match="unknown engine 'batched'"):
+            make_algorithm("xs-cu", task, 40.0, engine="batched")
 
 
 class TestCrossEngineReportIdentity:
-    def test_batched_and_vectorized_identical_inline(self, inline_keys_by_engine):
-        assert inline_keys_by_engine["batched"] == inline_keys_by_engine["vectorized"]
-        assert inline_keys_by_engine["batched"]  # the trace produced reports
-
-    def test_per_arrival_covers_batched_reports(self, inline_keys_by_engine):
-        """Per-arrival evaluates the Potential on partially accumulated
-        counts, so it can promote strictly more -- never less -- than
-        the boundary-evaluating engines on the same stream."""
-        assert set(inline_keys_by_engine["batched"]) <= set(
-            inline_keys_by_engine["xsketch"]
-        )
-
-    @pytest.mark.parametrize("engine", ["batched", "vectorized"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_process_backend_matches_inline(
         self, engine, planted_windows, inline_keys_by_engine
     ):
@@ -120,6 +107,7 @@ class TestCrossEngineReportIdentity:
             _run_trace(sharded, planted_windows)
             keys = sorted(_report_keys(sharded.reports))
         assert keys == inline_keys_by_engine[engine]
+        assert keys  # the trace produced reports
 
 
 class TestEngineCheckpoint:
@@ -160,15 +148,43 @@ class TestEngineCheckpoint:
         assert restored.engine == "xsketch"
         restored.close()
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_legacy_batched_checkpoint_restores_as_vectorized(
+        self, backend, planted_windows, tmp_path
+    ):
+        """A checkpoint of the deleted ``batched`` engine (manifest and
+        shard snapshots tagged ``batched``, vectorized geometry) restores
+        on either backend as vectorized and continues the stream."""
+        directory = tmp_path / "batched"
+        with ShardedXSketch(
+            _config(), n_shards=2, seed=SEED, backend="inline", engine="vectorized"
+        ) as sharded:
+            _run_trace(sharded, planted_windows[:8])
+            sharded.checkpoint(directory)
+            _run_trace(sharded, planted_windows[8:])
+            full = _report_keys(sharded.reports)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["engine"] = "batched"
+        manifest_path.write_text(json.dumps(manifest))
+        for filename in manifest["shards"]:
+            shard_path = directory / filename
+            snapshot = json.loads(shard_path.read_text())
+            snapshot["variant"] = "batched"
+            shard_path.write_text(json.dumps(snapshot))
+        with ShardedXSketch.restore(
+            directory, backend=backend, reply_timeout=60.0
+        ) as restored:
+            assert restored.engine == "vectorized"
+            _run_trace(restored, planted_windows[8:])
+            assert _report_keys(restored.reports) == full
+            assert type(restored.merged_sketch()).__name__ == "VectorizedXSketch"
+
 
 class TestMergedSketchPerEngine:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_compaction_class_matches_engine(self, engine, planted_windows):
-        expected = {
-            "xsketch": "XSketch",
-            "batched": "BatchedXSketch",
-            "vectorized": "VectorizedXSketch",
-        }[engine]
+        expected = {"xsketch": "XSketch", "vectorized": "VectorizedXSketch"}[engine]
         with ShardedXSketch(
             _config(), n_shards=2, seed=SEED, backend="inline", engine=engine
         ) as sharded:

@@ -1,6 +1,7 @@
 """Service-level engine parity: the same trace served through each
-runtime engine answers ``/reports`` identically (byte-for-byte for the
-boundary-evaluating engines) at the same window sequence."""
+runtime engine drains every window and answers ``/reports`` at the same
+window sequence; the sharded vectorized engine answers with the
+single-process engine's report set."""
 
 from __future__ import annotations
 
@@ -79,19 +80,6 @@ class TestReportsParityAcrossEngines:
         windows = {json.loads(body)["window"] for body, _ in bodies.values()}
         assert windows == {WINDOWS}
 
-    def test_batched_and_vectorized_byte_identical(self, bodies):
-        assert bodies["batched"][0] == bodies["vectorized"][0]
-        assert json.loads(bodies["batched"][0])["total"] > 0
-
-    def test_per_arrival_covers_batched(self, bodies):
-        def keys(body):
-            return {
-                (r["report_window"], str(r["item"]))
-                for r in json.loads(body)["reports"]
-            }
-
-        assert keys(bodies["batched"][0]) <= keys(bodies["xsketch"][0])
-
     def test_sharded_vectorized_matches_single_process_set(self, trace):
         """The sharded coordinator merges per-shard report streams; the
         resulting /reports set matches the single-process vectorized
@@ -114,3 +102,4 @@ class TestReportsParityAcrossEngines:
             )
 
         assert keys(sharded_body) == keys(single_body)
+        assert json.loads(single_body)["total"] > 0

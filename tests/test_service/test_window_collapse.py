@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-import repro.core.batched
 import repro.core.vectorized
 import repro.service.window
 import repro.temporal.store
@@ -45,7 +44,7 @@ class CountingCounter(collections.Counter):
 def counting(monkeypatch):
     CountingCounter.built = 0
     for module in (repro.service.window, repro.core.vectorized,
-                   repro.core.batched, repro.temporal.store):
+                   repro.temporal.store):
         monkeypatch.setattr(module, "Counter", CountingCounter)
     return CountingCounter
 
@@ -90,7 +89,7 @@ def _run(engine_name, two_collapses=False):
             "batches": manager.engine_batches, "engine": engine}
 
 
-@pytest.mark.parametrize("engine_name", ["vectorized", "batched"])
+@pytest.mark.parametrize("engine_name", ["vectorized"])
 def test_buffered_engine_collapses_each_micro_batch_once(counting, engine_name):
     subject = _run(engine_name)
     assert subject["batches"] > WINDOWS
